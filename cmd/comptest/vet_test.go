@@ -134,7 +134,8 @@ func TestVetSARIF(t *testing.T) {
 }
 
 // TestVetBuiltinWorkbook: no path arguments vets the built-in paper
-// workbook, which carries warnings only — exit 0.
+// workbook, which carries warnings only — exit 0, in the text layout
+// and as one JSON workbook report carrying its findings.
 func TestVetBuiltinWorkbook(t *testing.T) {
 	out, err := runCLI(t, "vet")
 	if err != nil {
@@ -143,22 +144,16 @@ func TestVetBuiltinWorkbook(t *testing.T) {
 	if !strings.Contains(out, "unstimulated-input") {
 		t.Errorf("builtin vet lost the paper's rear-door findings:\n%s", out)
 	}
-}
-
-// TestLintJSONFormat: the rerouted lint subcommand exposes the engine's
-// JSON report too (satellite of the vet migration; the text layout is
-// pinned by TestLint above for one more release).
-func TestLintJSONFormat(t *testing.T) {
-	out, err := runCLI(t, "lint", "-format", "json")
+	out, err = runCLI(t, "vet", "-format", "json")
 	if err != nil {
-		t.Fatalf("lint -format json: %v\n%s", err, out)
+		t.Fatalf("vet -format json: %v\n%s", err, out)
 	}
 	var rep lint.Report
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("lint JSON does not parse: %v\n%s", err, out)
+		t.Fatalf("vet JSON does not parse: %v\n%s", err, out)
 	}
 	if len(rep.Workbooks) != 1 || len(rep.Workbooks[0].Findings) == 0 {
-		t.Errorf("lint JSON lacks the builtin findings: %s", out)
+		t.Errorf("vet JSON lacks the builtin findings: %s", out)
 	}
 }
 

@@ -99,33 +99,45 @@ func (c *Collector) Results() []Result {
 
 // Ordered wraps a sink so it receives results in strict Seq order
 // (0, 1, 2, …) regardless of completion order, buffering early
-// arrivals. Use one Ordered wrapper per campaign: Seq restarts at 0
-// for every Campaign call.
+// arrivals. Units a Group.Stop short-circuit leaves unexecuted are
+// skipped, so the results behind them are not held back. Use one
+// Ordered wrapper per campaign: Seq restarts at 0 for every Campaign
+// call.
 func Ordered(s Sink) Sink {
-	return &orderedSink{inner: s, pending: map[int]Result{}}
+	return &orderedSink{inner: s, seq: report.NewSequence[Result](0)}
 }
 
 type orderedSink struct {
-	mu      sync.Mutex
-	inner   Sink
-	next    int
-	pending map[int]Result
+	mu    sync.Mutex
+	inner Sink
+	seq   *report.Sequence[Result]
 }
 
 func (o *orderedSink) Emit(r Result) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.pending[r.Seq] = r
-	for {
-		res, ok := o.pending[o.next]
-		if !ok {
-			return
-		}
-		delete(o.pending, o.next)
-		o.next++
+	o.seq.Offer(r.Seq, r)
+	o.release()
+}
+
+// Skip implements the Runner's stopped-unit notice (see skipper).
+func (o *orderedSink) Skip(seq int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.seq.Skip(seq)
+	o.release()
+}
+
+func (o *orderedSink) release() {
+	for res := range o.seq.Release() {
 		o.inner.Emit(res)
 	}
 }
+
+// skipper is implemented by sinks that release results in Seq order:
+// the Runner tells them which units a Group.Stop short-circuit will
+// never emit.
+type skipper interface{ Skip(seq int) }
 
 // Summary tallies a campaign. When the campaign is cancelled mid-run,
 // units that were never dispatched are counted in Skipped.
@@ -245,6 +257,7 @@ func (r *Runner) CampaignGroups(ctx context.Context, groups []Group) (Summary, e
 					account(res)
 					if g.Stop != nil && g.Stop(res) {
 						skip(len(g.Units) - k - 1)
+						r.stopped(base[gi]+k+1, base[gi]+len(g.Units))
 						break
 					}
 				}

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/comptest"
 	"repro/comptest/serve"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -34,7 +33,7 @@ type Options struct {
 	// StateDir, when set, makes the coordinator durable: every
 	// coordination event appends to <StateDir>/journal.ndjson, and on
 	// startup the journal is replayed — accepted jobs reappear,
-	// in-flight campaigns resume from their flushed stream offset, and
+	// in-flight jobs resume from their flushed stream offset, and
 	// shards whose workers retained them across the outage are
 	// re-adopted (re-attached, not re-run). If the directory or journal
 	// is unusable the error is logged and the coordinator runs
@@ -123,10 +122,13 @@ func (o Options) withDefaults() Options {
 // workbook shipped inline so the worker's content-addressed cache
 // parses it once per node) and the streamed per-unit NDJSON reports
 // merge back — exactly-once, in global unit order — into the job's
-// result log, byte-identical to a single-node run. Mutate and explore
-// jobs dispatch whole to one worker. With no live workers, everything
-// falls back to local execution: a coordinator alone behaves exactly
-// like a plain serve.Server.
+// result log, byte-identical to a single-node run. Mutate, explore and
+// vet jobs travel the same path as one piece of unknown length: their
+// engines stream in unit order at any parallelism, so the piece
+// requeues, falls back, is stolen and recovers exactly like a campaign
+// shard. With no live workers, everything falls back to local
+// execution: a coordinator alone behaves exactly like a plain
+// serve.Server.
 type Coordinator struct {
 	opts      Options
 	reg       *Registry
@@ -379,32 +381,193 @@ func permanentf(format string, args ...any) error {
 // (503). The worker is healthy — try another, don't mark it lost.
 var errBusy = errors.New("dist: worker queue full")
 
-// execute is the serve.Executor of the coordinator.
+// execute is the serve.Executor of the coordinator, and the one
+// dispatch path of every job kind. The job's unit sequence is cut into
+// shards, every shard runs through runShard, and the lines the shards
+// stream merge exactly-once, in sequence order, into the job's result
+// log. A campaign is chunked into bounded runs of scripts whose line i
+// is unit base+i. A mutate, explore or vet job is one piece of unknown
+// length at base 0: its engine streams in Seq order at any parallelism
+// (mutation.Options.Sink), so line i of the piece is the same bytes on
+// every node, and requeue, stealing and crash recovery dedup it exactly
+// like a campaign shard.
 func (c *Coordinator) execute(ctx context.Context, ex serve.Execution) (string, error) {
+	rec := c.takeRecovered(ex.ID)
+	j := &jobRun{ex: ex, lg: execLogger(ex)}
+	shards := []shardSpec{{names: ex.Spec.Scripts, open: true}}
 	if ex.Spec.Kind == serve.KindCampaign {
-		return c.executeCampaign(ctx, ex)
+		var err error
+		if shards, err = c.chunkCampaign(ex, rec); err != nil {
+			return "", err
+		}
+		j.tl = &tally{}
+		for _, sh := range shards {
+			j.tl.st.Units += len(sh.names)
+		}
 	}
-	return c.executeWhole(ctx, ex)
+	// The resumed merger's floor is the journaled stream offset: those
+	// lines are already in the (preloaded) result log, so re-deliveries
+	// of them — from re-adopted streams or re-run shards — drop as
+	// duplicates and the first line this process writes is line floor.
+	floor := 0
+	if rec != nil {
+		floor = len(rec.lines)
+		if j.tl != nil {
+			seedTally(j.tl, rec.lines)
+		}
+	}
+	j.merger = report.ResumeMerger(ex.Log, floor)
+	defer c.trackMerger(j.merger)()
+	// Traced campaigns reassemble the global span tree the same way the
+	// result log reassembles report lines: each shard's spans arrive as a
+	// complete subtree, are re-based onto the global unit sequence and
+	// released in order, so the merged NDJSON is byte-identical to a
+	// single-node `run -trace` of the same campaign.
+	if ex.Trace != nil {
+		j.tm = report.NewTraceMerger(report.NewSpanWriter(ex.Trace))
+	}
+	j.prog = newProgress(len(shards), ex.OnShards)
+
+	// A fatal shard error (permanent dispatch failure, local fallback
+	// failure) aborts the remaining shards through this child context;
+	// the JOB context stays intact so serve classifies the outcome as
+	// failed, not cancelled.
+	dctx, dcancel := context.WithCancel(ctx)
+	defer dcancel()
+	var (
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+		finished = make([]serve.JobStatus, len(shards))
+	)
+	for i, sh := range shards {
+		var adopt *dispatchRec
+		if rec != nil {
+			if !sh.open && j.tm == nil && sh.base+len(sh.names) <= floor {
+				// Every unit of this shard is below the flushed floor: the
+				// journal holds its full output, nothing re-runs. (Traced
+				// jobs skip this skip — spans are not journaled, so every
+				// shard re-attaches to rebuild the span tree.)
+				c.note(j, shardRecovered, rec.dispatches[sh.base].worker)
+				continue
+			}
+			if d, ok := rec.dispatches[sh.base]; ok {
+				adopt = &d
+			}
+		}
+		wg.Add(1)
+		go func(i int, sh shardSpec, adopt *dispatchRec) {
+			defer wg.Done()
+			st, err := c.runShard(dctx, j, sh, adopt)
+			finished[i] = st
+			if err != nil && dctx.Err() == nil {
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				errMu.Unlock()
+				dcancel()
+			}
+		}(i, sh, adopt)
+	}
+	wg.Wait()
+	if j.tm != nil {
+		// Unconditional, mirroring the single-node runner: even a failed
+		// campaign closes its trace with whatever units completed.
+		j.tm.Flush()
+	}
+
+	var st serve.CampaignStatus
+	if j.tl != nil {
+		st = j.tl.status()
+		if ex.OnCampaign != nil {
+			ex.OnCampaign(st)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return "", err
+	}
+	if firstErr != nil {
+		return "", firstErr
+	}
+	if err := j.merger.Err(); err != nil {
+		return "", err
+	}
+	if j.tl == nil {
+		// The one per-kind difference: a non-campaign job's verdict and
+		// summary are those of the execution that completed its piece.
+		return publishPiece(ex, finished[0]), nil
+	}
+	if st.Passed == st.Units {
+		return "green", nil
+	}
+	return "red", nil
 }
 
-// shardSpec is one bounded chunk of a campaign's unit matrix. Units
-// are chunked contiguously, so shard-local line i is global unit
-// base+i — the sequence tag the merger dedups and orders on.
+// publishPiece relays a completed piece's kind summary into the job
+// status and returns its verdict.
+func publishPiece(ex serve.Execution, st serve.JobStatus) string {
+	if st.Mutation != nil && ex.OnMutation != nil {
+		ex.OnMutation(*st.Mutation)
+	}
+	if st.Exploration != nil && ex.OnExploration != nil {
+		ex.OnExploration(*st.Exploration)
+	}
+	if st.Vet != nil && ex.OnVet != nil {
+		ex.OnVet(*st.Vet)
+	}
+	return st.Verdict
+}
+
+// shardSpec is one contiguous piece of a job's line sequence: line i
+// of its stream is global sequence base+i. A campaign shard carries
+// its scripts, one unit — one line — each. An open piece (a whole
+// mutate, explore or vet job) streams an unknown number of lines and
+// is complete when its execution terminates done.
 type shardSpec struct {
 	base  int
 	names []string
+	open  bool
 }
 
-func chunkShards(names []string, size int) []shardSpec {
-	var shards []shardSpec
-	for base := 0; base < len(names); base += size {
-		end := base + size
-		if end > len(names) {
-			end = len(names)
-		}
-		shards = append(shards, shardSpec{base: base, names: names[base:end]})
+// chunkCampaign cuts the campaign's script selection into contiguous
+// shards. A recovered job re-chunks with the shard size pinned in its
+// plan record — auto-tuning may have picked a different size since,
+// and shard boundaries must not move under the journaled dispatch
+// state.
+func (c *Coordinator) chunkCampaign(ex serve.Execution, rec *recoveredJob) ([]shardSpec, error) {
+	scripts, err := ex.Art.Select(ex.Spec.Scripts)
+	if err != nil {
+		return nil, err
 	}
-	return shards
+	size := c.opts.ShardUnits
+	switch {
+	case rec != nil && rec.shardUnits > 0:
+		size = rec.shardUnits
+	case c.opts.ShardTargetSeconds > 0:
+		mean, samples := c.srv.UnitCost()
+		size = autoShardSize(c.opts.ShardTargetSeconds, mean, samples, size)
+	}
+	c.journal.append(journalRec{T: "plan", Job: ex.ID, ShardUnits: size})
+	var shards []shardSpec
+	for base := 0; base < len(scripts); base += size {
+		sh := shardSpec{base: base}
+		for _, sc := range scripts[base:min(base+size, len(scripts))] {
+			sh.names = append(sh.names, sc.Name)
+		}
+		shards = append(shards, sh)
+	}
+	return shards, nil
+}
+
+// jobRun is one execution's merge state, shared by all its shards.
+type jobRun struct {
+	ex     serve.Execution
+	lg     *slog.Logger
+	merger *report.Merger
+	tm     *report.TraceMerger // nil unless traced
+	tl     *tally              // nil unless a campaign
+	prog   *progress
 }
 
 // progress tracks ShardStatus and publishes every change.
@@ -434,191 +597,84 @@ func (p *progress) push() {
 	p.publish(st)
 }
 
-func (p *progress) completed(workerID string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.st.Completed++
-	p.workers[workerID] = true
-	p.push()
-}
+// shardEvent is one step of a shard's life, counted both in the job's
+// ShardStatus and in the coordinator's dist_* counters.
+type shardEvent int
 
-func (p *progress) requeued() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.st.Requeued++
-	p.push()
-}
+const (
+	shardMerged    shardEvent = iota // a worker's stream completed the shard
+	shardReadopted                   // re-attached to the worker that retained it across a restart
+	shardLocal                       // run in-process: no live worker, or remote attempts exhausted
+	shardStolen                      // claimed in-process from a saturated fleet (Options.StealLocal)
+	shardRecovered                   // the journal proves every unit reached the stream before a crash
+	shardRequeued                    // taken off its worker to run again
+)
 
-func (p *progress) local() {
+// note records ev for one of the job's shards. Every event but a
+// requeue completes the shard, and its worker, when known, joins the
+// job's executors.
+func (c *Coordinator) note(j *jobRun, ev shardEvent, workerID string) {
+	p := j.prog
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.st.Local++
-	p.st.Completed++
-	p.push()
-}
-
-// stolen: the local executor claimed a shard that waited too long for
-// a saturated fleet (Options.StealLocal).
-func (p *progress) stolen() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.st.Stolen++
-	p.st.Completed++
-	p.push()
-}
-
-// readopted: a recovered shard was re-attached to the worker that
-// retained it across the coordinator outage.
-func (p *progress) readopted(workerID string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.st.Readopted++
-	p.st.Completed++
-	p.workers[workerID] = true
-	p.push()
-}
-
-// recoveredComplete: the journal proves every unit of the shard
-// reached the merged stream before the crash — nothing to run.
-func (p *progress) recoveredComplete(workerID string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.push()
+	switch ev {
+	case shardMerged:
+		c.mShardsCompleted.Inc()
+	case shardReadopted:
+		p.st.Readopted++
+		c.mShardsReadopted.Inc()
+		c.mShardsCompleted.Inc()
+	case shardLocal:
+		p.st.Local++
+		c.mShardsLocal.Inc()
+	case shardStolen:
+		p.st.Stolen++
+		c.mShardsStolen.Inc()
+	case shardRequeued:
+		p.st.Requeued++
+		c.mRequeues.Inc()
+		return
+	}
 	p.st.Completed++
 	if workerID != "" {
 		p.workers[workerID] = true
 	}
-	p.push()
 }
 
 // tally accumulates per-unit verdicts as lines merge; only accepted
 // (non-duplicate) lines count, so requeued shards cannot double-book.
 type tally struct {
-	mu                      sync.Mutex
-	passed, failed, errored int
+	mu sync.Mutex
+	st serve.CampaignStatus
 }
 
-// executeCampaign shards the campaign's script list and fans the
-// shards over the worker fleet.
-func (c *Coordinator) executeCampaign(ctx context.Context, ex serve.Execution) (string, error) {
-	scripts, err := ex.Art.Select(ex.Spec.Scripts)
-	if err != nil {
-		return "", err
-	}
-	names := make([]string, len(scripts))
-	for i, sc := range scripts {
-		names[i] = sc.Name
-	}
-	// A recovered job re-chunks with the shard size pinned in its plan
-	// record — auto-tuning may have picked a different size since, and
-	// shard boundaries must not move under the journaled dispatch state.
-	rec := c.takeRecovered(ex.ID)
-	size := c.opts.ShardUnits
+// book counts one accepted unit line: its report, or nil for an
+// error line.
+func (t *tally) book(rep *report.Report) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	switch {
-	case rec != nil && rec.shardUnits > 0:
-		size = rec.shardUnits
-	case c.opts.ShardTargetSeconds > 0:
-		mean, samples := c.srv.UnitCost()
-		size = autoShardSize(c.opts.ShardTargetSeconds, mean, samples, size)
+	case rep == nil:
+		t.st.Errored++
+	case rep.Passed():
+		t.st.Passed++
+	default:
+		t.st.Failed++
 	}
-	c.journal.append(journalRec{T: "plan", Job: ex.ID, ShardUnits: size})
-	shards := chunkShards(names, size)
-	prog := newProgress(len(shards), ex.OnShards)
-	// The resumed merger's floor is the journaled stream offset: those
-	// lines are already in the (preloaded) result log, so re-deliveries
-	// of them — from re-adopted streams or re-run shards — drop as
-	// duplicates and the first line this process writes is line floor.
-	floor := 0
-	if rec != nil {
-		floor = len(rec.lines)
-	}
-	merger := report.ResumeMerger(ex.Log, floor)
-	defer c.trackMerger(merger)()
-	tl := &tally{}
-	if rec != nil {
-		seedTally(tl, rec.lines)
-	}
-	// Traced campaigns reassemble the global span tree the same way the
-	// result log reassembles report lines: each shard's spans arrive as a
-	// complete subtree, are re-based onto the global unit sequence and
-	// released in order, so the merged NDJSON is byte-identical to a
-	// single-node `run -trace` of the same campaign.
-	var tm *report.TraceMerger
-	if ex.Trace != nil {
-		tm = report.NewTraceMerger(report.NewSpanWriter(ex.Trace))
-	}
+}
 
-	// A fatal shard error (permanent dispatch failure, local fallback
-	// failure) aborts the remaining shards through this child context;
-	// the JOB context stays intact so serve classifies the outcome as
-	// failed, not cancelled.
-	dctx, dcancel := context.WithCancel(ctx)
-	defer dcancel()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for _, sh := range shards {
-		var adopt *dispatchRec
-		if rec != nil {
-			if tm == nil && sh.base+len(sh.names) <= floor {
-				// Every unit of this shard is below the flushed floor: the
-				// journal holds its full output, nothing re-runs. (Traced
-				// jobs skip this skip — spans are not journaled, so every
-				// shard re-attaches to rebuild the span tree.)
-				prog.recoveredComplete(rec.dispatches[sh.base].worker)
-				continue
-			}
-			if d, ok := rec.dispatches[sh.base]; ok {
-				adopt = &d
-			}
-		}
-		wg.Add(1)
-		go func(sh shardSpec, adopt *dispatchRec) {
-			defer wg.Done()
-			if err := c.runShard(dctx, ex, sh, adopt, merger, tl, prog, tm); err != nil && dctx.Err() == nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				dcancel()
-			}
-		}(sh, adopt)
-	}
-	wg.Wait()
-	if tm != nil {
-		// Unconditional, mirroring the single-node runner: even a failed
-		// campaign closes its trace with whatever units completed.
-		tm.Flush()
-	}
-
-	tl.mu.Lock()
-	st := serve.CampaignStatus{Units: len(names), Passed: tl.passed,
-		Failed: tl.failed, Errored: tl.errored}
-	tl.mu.Unlock()
-	// Skipped = units with no accounted outcome. The tally counts every
-	// accepted line — including ones still buffered behind a gap the
-	// failed job will never fill — so deriving Skipped from the tally
-	// (not from merger.Written()) keeps the four buckets summing to
-	// Units even on partial failures.
+// status snapshots the tally. Skipped = units with no accounted
+// outcome. The tally counts every accepted line — including ones still
+// buffered behind a gap the failed job will never fill — so deriving
+// Skipped from it (not from merger.Written()) keeps the four buckets
+// summing to Units even on partial failures.
+func (t *tally) status() serve.CampaignStatus {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st := t.st
 	st.Skipped = st.Units - st.Passed - st.Failed - st.Errored
-	if ex.OnCampaign != nil {
-		ex.OnCampaign(st)
-	}
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	if firstErr != nil {
-		return "", firstErr
-	}
-	if err := merger.Err(); err != nil {
-		return "", err
-	}
-	if st.Passed == st.Units {
-		return "green", nil
-	}
-	return "red", nil
+	return st
 }
 
 // runShard drives one shard to completion: re-adopt it from a worker
@@ -628,82 +684,64 @@ func (c *Coordinator) executeCampaign(ctx context.Context, ex serve.Execution) (
 // retry exactly-once even when the dead worker already delivered part
 // of the shard. When no worker is live (or remote attempts are
 // exhausted, or a saturated fleet kept the shard waiting past the
-// steal deadline) the coordinator executes the shard itself.
-func (c *Coordinator) runShard(ctx context.Context, ex serve.Execution, sh shardSpec, adopt *dispatchRec,
-	merger *report.Merger, tl *tally, prog *progress, tm *report.TraceMerger) error {
-	n := need{kind: serve.KindCampaign, dut: ex.Spec.DUT, stand: ex.Spec.Stand}
-	lg := execLogger(ex)
+// steal deadline) the coordinator executes the shard itself. The
+// returned status is the completing execution's (see shardSpec.open).
+func (c *Coordinator) runShard(ctx context.Context, j *jobRun, sh shardSpec, adopt *dispatchRec) (serve.JobStatus, error) {
+	spec := j.ex.Spec
+	n := need{kind: spec.Kind, dut: spec.DUT, stand: spec.Stand}
+	lg := j.lg
 	if adopt != nil {
-		aerr := c.adoptShard(ctx, *adopt, ex, sh, merger, tl, tm)
+		st, aerr := c.adoptShard(ctx, *adopt, j, sh)
 		if aerr == nil {
-			prog.readopted(adopt.worker)
-			c.mShardsReadopted.Inc()
-			c.mShardsCompleted.Inc()
+			c.note(j, shardReadopted, adopt.worker)
 			lg.Info("shard re-adopted", "shard", sh.base, "worker", adopt.worker, "units", len(sh.names))
-			return nil
+			return st, nil
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return st, err
 		}
 		var pe *permanentError
 		if errors.As(aerr, &pe) {
-			return aerr
+			return st, aerr
 		}
 		// The retained job is gone (worker restarted during the outage,
 		// retention evicted it, …): erase the stale address and fall
 		// through to a normal dispatch. Units it already delivered sit
 		// below the merger floor and stay exactly-once.
-		c.journal.append(journalRec{T: "requeue", Job: ex.ID, Shard: sh.base})
-		prog.requeued()
-		c.mRequeues.Inc()
-		lg.Warn("shard re-adoption failed; redispatching",
-			"shard", sh.base, "worker", adopt.worker, "error", aerr.Error())
+		c.requeue(j, sh, "shard re-adoption failed; redispatching", adopt.worker, aerr)
 	}
 	exclude := map[string]bool{}
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return serve.JobStatus{}, err
 		}
 		if attempt >= c.opts.MaxAttempts {
-			prog.local()
-			c.mShardsLocal.Inc()
-			lg.Info("shard local", "shard", sh.base, "units", len(sh.names))
-			return c.runShardLocal(ctx, ex, sh, merger, tl, tm)
+			return c.runLocal(ctx, j, sh, false)
 		}
 		ls, stole, err := c.reg.acquire(ctx, n, exclude, c.stealDeadline())
-		if stole {
-			prog.stolen()
-			c.mShardsStolen.Inc()
-			lg.Info("shard stolen by local executor", "shard", sh.base, "units", len(sh.names))
-			return c.runShardLocal(ctx, ex, sh, merger, tl, tm)
-		}
-		if errors.Is(err, ErrNoWorkers) {
-			prog.local()
-			c.mShardsLocal.Inc()
-			lg.Info("shard local", "shard", sh.base, "units", len(sh.names))
-			return c.runShardLocal(ctx, ex, sh, merger, tl, tm)
+		if stole || errors.Is(err, ErrNoWorkers) {
+			return c.runLocal(ctx, j, sh, stole)
 		}
 		if err != nil {
-			return err
+			return serve.JobStatus{}, err
 		}
 		lg.Info("shard dispatched", "shard", sh.base, "worker", ls.id, "units", len(sh.names))
 		t0 := c.clock()
-		derr := c.dispatchShard(ctx, ls, ex, sh, merger, tl, tm)
+		st, derr := c.dispatchShard(ctx, ls, j, sh)
 		c.reg.release(ls.id)
 		if derr == nil {
 			secs := c.clock().Sub(t0).Seconds()
 			c.mShardRoundtrip.Observe(secs)
-			prog.completed(ls.id)
-			c.mShardsCompleted.Inc()
+			c.note(j, shardMerged, ls.id)
 			lg.Info("shard merged", "shard", sh.base, "worker", ls.id, "seconds", secs)
-			return nil
+			return st, nil
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return st, err
 		}
 		var pe *permanentError
 		if errors.As(derr, &pe) {
-			return derr
+			return st, derr
 		}
 		if errors.Is(derr, errBusy) {
 			// The worker is healthy, its own admission control is just
@@ -712,7 +750,7 @@ func (c *Coordinator) runShard(ctx context.Context, ex serve.Execution, sh shard
 			// bounded attempt counter retry anywhere, including there.
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
+				return st, ctx.Err()
 			case <-time.After(100 * time.Millisecond):
 			}
 			continue
@@ -722,11 +760,17 @@ func (c *Coordinator) runShard(ctx context.Context, ex serve.Execution, sh shard
 		// it — its next heartbeat must not win the shard back.
 		c.reg.MarkLost(ls.id)
 		exclude[ls.id] = true
-		c.journal.append(journalRec{T: "requeue", Job: ex.ID, Shard: sh.base})
-		prog.requeued()
-		c.mRequeues.Inc()
-		lg.Warn("shard requeued", "shard", sh.base, "worker", ls.id, "error", derr.Error())
+		c.requeue(j, sh, "shard requeued", ls.id, derr)
 	}
+}
+
+// requeue journals and accounts a shard leaving the worker that held
+// it: the stale dispatch address is erased, so recovery never
+// re-adopts it.
+func (c *Coordinator) requeue(j *jobRun, sh shardSpec, msg, workerID string, err error) {
+	c.journal.append(journalRec{T: "requeue", Job: j.ex.ID, Shard: sh.base})
+	c.note(j, shardRequeued, "")
+	j.lg.Warn(msg, "shard", sh.base, "worker", workerID, "error", err.Error())
 }
 
 // stealDeadline is the acquire steal timeout: 0 (never) unless
@@ -773,55 +817,50 @@ func execLogger(ex serve.Execution) *slog.Logger {
 	return slog.New(slog.DiscardHandler)
 }
 
-// forward classifies one NDJSON line from a shard stream, rewrites
-// error-line sequence numbers (report.ErrorLine — a unit that produced
-// no report) to the global numbering, tallies the verdict and merges
-// the line. Duplicate sequences (requeue re-delivery) are dropped by
-// the merger and not tallied.
-func forward(seq int, line []byte, merger *report.Merger, tl *tally) error {
-	// line may alias a read buffer — never append to it in place.
-	nl := func(l []byte) []byte {
-		out := make([]byte, len(l)+1)
-		copy(out, l)
-		out[len(l)] = '\n'
-		return out
+// forward merges one line of a shard's stream as global sequence seq.
+// A campaign's lines are unit reports: each accepted one is tallied,
+// and an error line (a unit that produced no report) has its
+// shard-local sequence rewritten to the global numbering. Other kinds'
+// lines merge verbatim. Duplicate sequences (requeue re-delivery) are
+// dropped by the merger and not tallied.
+func (j *jobRun) forward(seq int, line []byte) error {
+	var rep *report.Report
+	if j.tl != nil {
+		var el *report.ErrorLine
+		var err error
+		if rep, el, err = decodeUnitLine(line); err != nil {
+			return permanentf("dist: %v: %.120s", err, line)
+		}
+		if el != nil {
+			el.Seq = seq
+			if line, err = json.Marshal(el); err != nil {
+				return err
+			}
+		}
 	}
+	// line may alias a read buffer — never append to it in place.
+	out := make([]byte, len(line)+1)
+	copy(out, line)
+	out[len(line)] = '\n'
+	accepted, err := j.merger.Add(seq, out)
+	if err == nil && accepted && j.tl != nil {
+		j.tl.book(rep)
+	}
+	return err
+}
+
+// decodeUnitLine decodes one campaign stream line: a unit's report, or
+// else the error line of a unit that produced none.
+func decodeUnitLine(line []byte) (*report.Report, *report.ErrorLine, error) {
 	rep, derr := report.DecodeJSON(line)
 	if derr == nil {
-		accepted, err := merger.Add(seq, nl(line))
-		if err != nil {
-			return err
-		}
-		if accepted {
-			tl.mu.Lock()
-			if rep.Passed() {
-				tl.passed++
-			} else {
-				tl.failed++
-			}
-			tl.mu.Unlock()
-		}
-		return nil
+		return rep, nil, nil
 	}
 	el, err := report.DecodeErrorLine(line)
 	if err != nil {
-		return permanentf("dist: unrecognisable stream line (%v / %v): %.120s", derr, err, line)
+		return nil, nil, fmt.Errorf("unrecognisable stream line (%v / %v)", derr, err)
 	}
-	el.Seq = seq
-	out, err := json.Marshal(el)
-	if err != nil {
-		return err
-	}
-	accepted, err := merger.Add(seq, nl(out))
-	if err != nil {
-		return err
-	}
-	if accepted {
-		tl.mu.Lock()
-		tl.errored++
-		tl.mu.Unlock()
-	}
-	return nil
+	return nil, &el, nil
 }
 
 // readLines consumes an NDJSON stream, invoking fn once per COMPLETE
@@ -852,14 +891,13 @@ func readLines(r io.Reader, fn func(line []byte) error) error {
 // content-addressed cache parses it once per node no matter how many
 // shards follow), stream its NDJSON, and merge each line under the
 // shard's global sequence numbers.
-func (c *Coordinator) dispatchShard(ctx context.Context, ls lease, ex serve.Execution,
-	sh shardSpec, merger *report.Merger, tl *tally, tm *report.TraceMerger) error {
+func (c *Coordinator) dispatchShard(ctx context.Context, ls lease, j *jobRun, sh shardSpec) (serve.JobStatus, error) {
 	sctx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
 	defer cancel()
 
-	spec := ex.Spec
+	spec := j.ex.Spec
 	spec.Scripts = sh.names
-	spec.Workbook = string(ex.Art.Source)
+	spec.Workbook = string(j.ex.Art.Source)
 	spec.WorkbookName = ""
 	// The shard runs under the WORKER's admission: the tenant already
 	// passed the coordinator's front-door quota, and older workers
@@ -868,79 +906,76 @@ func (c *Coordinator) dispatchShard(ctx context.Context, ls lease, ex serve.Exec
 	// The trace flag travels with the shard: each worker records its
 	// units' spans on a shard-local simulated timeline, and the
 	// TraceMerger re-bases them onto the job's global sequence once the
-	// shard completes. Untraced jobs keep the flag off so workers skip
-	// the tracing observer's solver-sample cost.
-	spec.Trace = ex.Spec.Trace
+	// shard completes.
 	jobID, err := c.submit(sctx, ls.url, spec)
 	if err != nil {
-		return err
+		return serve.JobStatus{}, err
 	}
 	// Journaled after the submit succeeded: the remote job now exists
 	// and outlives this coordinator (workers retain terminal jobs), so
 	// a restarted coordinator can re-adopt it at this address.
-	c.journal.append(journalRec{T: "dispatch", Job: ex.ID, Shard: sh.base,
+	c.journal.append(journalRec{T: "dispatch", Job: j.ex.ID, Shard: sh.base,
 		Worker: ls.id, URL: ls.url, Remote: jobID})
-	complete := false
-	defer func() {
-		if !complete {
-			// Cancel propagation: whether the job was cancelled or this
-			// shard is being requeued, the worker must stop simulating
-			// units nobody will merge. The job context may already be
-			// dead, so the DELETE gets its own short deadline.
-			c.cancelRemote(ls.url, jobID)
-		}
-	}()
-	if err := c.streamShard(sctx, ls, jobID, ex, sh, merger, tl, tm); err != nil {
-		return err
+	st, err := c.streamShard(sctx, ls, jobID, j, sh)
+	if err != nil {
+		// Cancel propagation: whether the job was cancelled or this
+		// shard is being requeued, the worker must stop simulating
+		// units nobody will merge. The job context may already be
+		// dead, so the DELETE gets its own short deadline.
+		c.cancelRemote(ls.url, jobID)
 	}
-	complete = true
-	return nil
+	return st, err
 }
 
 // streamShard attaches to a worker-side shard job's stream — fresh
 // dispatch and crash re-adoption share this path — and merges each
-// line under the shard's global sequence numbers.
-func (c *Coordinator) streamShard(sctx context.Context, ls lease, jobID string, ex serve.Execution,
-	sh shardSpec, merger *report.Merger, tl *tally, tm *report.TraceMerger) error {
+// line under the shard's global sequence numbers. A clean EOF means
+// the remote job terminated: a shard of known length is complete when
+// every unit arrived, an open piece when the worker reports the job
+// done (that status is returned). A job the worker FAILED would fail
+// identically anywhere, so that is permanent.
+func (c *Coordinator) streamShard(sctx context.Context, ls lease, jobID string, j *jobRun, sh shardSpec) (serve.JobStatus, error) {
+	var st serve.JobStatus
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet,
 		ls.url+"/v1/jobs/"+jobID+"/stream", nil)
 	if err != nil {
-		return err
+		return st, err
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return fmt.Errorf("dist: stream shard from %s: %w", ls.id, err)
+		return st, fmt.Errorf("dist: stream shard from %s: %w", ls.id, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("dist: stream shard from %s: status %d", ls.id, resp.StatusCode)
+		return st, fmt.Errorf("dist: stream shard from %s: status %d", ls.id, resp.StatusCode)
 	}
 	idx := 0
 	if err := readLines(resp.Body, func(line []byte) error {
-		if idx >= len(sh.names) {
+		if !sh.open && idx >= len(sh.names) {
 			return permanentf("dist: worker %s streamed more lines than the shard has units (%d)", ls.id, len(sh.names))
 		}
-		if err := forward(sh.base+idx, line, merger, tl); err != nil {
+		if err := j.forward(sh.base+idx, line); err != nil {
 			return err
 		}
 		idx++
 		return nil
 	}); err != nil {
 		var pe *permanentError
-		if errors.As(err, &pe) || merger.Err() != nil {
-			return err
+		if errors.As(err, &pe) || j.merger.Err() != nil {
+			return st, err
 		}
-		return fmt.Errorf("dist: shard stream from %s broke after %d/%d units: %w",
-			ls.id, idx, len(sh.names), err)
+		return st, fmt.Errorf("dist: shard stream from %s broke after %d lines: %w", ls.id, idx, err)
 	}
-	if idx < len(sh.names) {
-		// The stream ended cleanly but short: the remote job terminated
-		// without covering the shard. If the worker reports the job
-		// FAILED, a retry elsewhere fails identically — surface it.
-		if msg, failed := c.remoteFailure(ls.url, jobID); failed {
-			return permanentf("dist: worker %s failed the shard: %s", ls.id, msg)
+	if sh.open || idx < len(sh.names) {
+		st, err = c.remoteStatus(ls.url, jobID)
+		switch {
+		case err != nil:
+			return st, fmt.Errorf("dist: status of shard from %s after %d lines: %w", ls.id, idx, err)
+		case st.State == serve.StateFailed:
+			return st, permanentf("dist: worker %s failed the shard: %s", ls.id, st.Error)
+		case !sh.open || st.State != serve.StateDone:
+			return st, fmt.Errorf("dist: worker %s ended the shard after %d lines, remote job %s", ls.id, idx, st.State)
 		}
-		return fmt.Errorf("dist: worker %s delivered %d/%d units", ls.id, idx, len(sh.names))
 	}
 	// A cleanly-EOF'd full-length stream means the remote job reached a
 	// terminal state, and the worker closes its trace log right after
@@ -948,16 +983,16 @@ func (c *Coordinator) streamShard(sctx context.Context, ls lease, jobID string, 
 	// short or broken stream never reaches this fetch; the requeued
 	// shard delivers its spans instead, and the TraceMerger's per-unit
 	// dedup absorbs any overlap exactly-once, like result lines.
-	if tm != nil {
+	if j.tm != nil {
 		spans, err := c.fetchTrace(sctx, ls, jobID)
 		if err != nil {
-			return err
+			return st, err
 		}
-		if err := tm.Add(sh.base, spans); err != nil {
-			return permanentf("dist: merge trace of shard %d from %s: %v", sh.base, ls.id, err)
+		if err := j.tm.Add(sh.base, spans); err != nil {
+			return st, permanentf("dist: merge trace of shard %d from %s: %v", sh.base, ls.id, err)
 		}
 	}
-	return nil
+	return st, nil
 }
 
 // fetchTrace retrieves a completed shard job's span NDJSON.
@@ -1051,271 +1086,70 @@ func (c *Coordinator) remoteStatus(baseURL, jobID string) (serve.JobStatus, erro
 	return st, nil
 }
 
-// remoteFailure reports whether the worker marked the job failed.
-func (c *Coordinator) remoteFailure(baseURL, jobID string) (string, bool) {
-	st, err := c.remoteStatus(baseURL, jobID)
-	if err != nil || st.State != serve.StateFailed {
-		return "", false
+// runLocal executes a shard in-process through the embedded server's
+// own engines — the fallback that keeps a coordinator with no
+// (surviving) workers behaving exactly like a single-node server, and
+// the executor a stolen shard (Options.StealLocal) runs on. The
+// sub-execution sees only the shard: its scripts, its lines forwarded
+// into the merger at the shard base, its spans buffered for the
+// TraceMerger and its observers offset by the base. Its kind summary
+// and verdict come back as the shard's status.
+func (c *Coordinator) runLocal(ctx context.Context, j *jobRun, sh shardSpec, stolen bool) (serve.JobStatus, error) {
+	if stolen {
+		c.note(j, shardStolen, "")
+		j.lg.Info("shard stolen by local executor", "shard", sh.base, "units", len(sh.names))
+	} else {
+		c.note(j, shardLocal, "")
+		j.lg.Info("shard local", "shard", sh.base, "units", len(sh.names))
 	}
-	return st.Error, true
-}
-
-// lineForwarder adapts the local fallback's NDJSON sink to the merge
-// path: each Write is one newline-terminated line for shard-local unit
-// `idx`, forwarded under its global sequence number so local and
-// remote shards interleave correctly.
-type lineForwarder struct {
-	base   int
-	idx    int
-	merger *report.Merger
-	tl     *tally
-	err    error
-}
-
-func (f *lineForwarder) Write(p []byte) (int, error) {
-	if f.err != nil {
-		return 0, f.err
+	st := serve.JobStatus{State: serve.StateDone}
+	sub := j.ex
+	sub.Spec.Scripts = sh.names
+	sub.OnCampaign, sub.OnShards = nil, nil
+	sub.OnMutation = func(m serve.MutationStatus) { st.Mutation = &m }
+	sub.OnExploration = func(x serve.ExplorationStatus) { st.Exploration = &x }
+	sub.OnVet = func(v serve.VetStatus) { st.Vet = &v }
+	sub.Logger = j.lg.With("shard", sh.base)
+	idx := 0
+	var ferr error
+	sub.Log = writerFunc(func(p []byte) (int, error) {
+		if ferr == nil {
+			ferr = j.forward(sh.base+idx, bytes.TrimSuffix(p, []byte("\n")))
+			idx++
+		}
+		if ferr != nil {
+			return 0, ferr
+		}
+		return len(p), nil
+	})
+	if j.ex.Observer != nil {
+		sub.Observer = func(unit int) stand.Observer { return j.ex.Observer(sh.base + unit) }
 	}
-	line := bytes.TrimSuffix(p, []byte("\n"))
-	if err := forward(f.base+f.idx, line, f.merger, f.tl); err != nil {
-		f.err = err
-		return 0, err
+	var spans bytes.Buffer
+	if j.tm != nil {
+		sub.Trace = &spans
 	}
-	f.idx++
-	return len(p), nil
-}
-
-// runShardLocal executes a shard in-process — the fallback that keeps
-// a coordinator with no (surviving) workers behaving exactly like a
-// single-node server.
-func (c *Coordinator) runShardLocal(ctx context.Context, ex serve.Execution, sh shardSpec,
-	merger *report.Merger, tl *tally, tm *report.TraceMerger) error {
-	factory, err := comptest.FaultedFactory(ex.Spec.DUT, ex.Spec.Faults...)
+	verdict, err := c.srv.ExecuteLocal(ctx, sub)
+	if ferr != nil {
+		return st, ferr
+	}
 	if err != nil {
-		return err
+		return st, err
 	}
-	scripts, err := ex.Art.Select(sh.names)
-	if err != nil {
-		return err
-	}
-	units := comptest.Cross(scripts, []string{ex.Spec.Stand}, "")
-	// The local fallback traces exactly like a remote worker would: a
-	// shard-local Tracer (unit indices 0..n-1, its own timeline) whose
-	// collected spans feed the same TraceMerger re-base as fetched ones.
-	var (
-		tracer *comptest.Tracer
-		col    *report.SpanCollector
-	)
-	if tm != nil {
-		col = &report.SpanCollector{}
-		tracer = comptest.NewTracer(col)
-	}
-	for i := range units {
-		units[i].Factory = factory
-		if ex.Observer != nil {
-			units[i].Observer = ex.Observer(sh.base + i)
-		}
-		if tracer != nil {
-			units[i].Observer = stand.MultiObserver(units[i].Observer, tracer.Observer(i))
-		}
-	}
-	fw := &lineForwarder{base: sh.base, merger: merger, tl: tl}
-	opts := []comptest.Option{
-		comptest.WithStand(ex.Spec.Stand),
-		comptest.WithParallelism(ex.Spec.Parallelism),
-		comptest.WithSink(comptest.Ordered(comptest.NDJSON(fw))),
-	}
-	if tracer != nil {
-		opts = append(opts, comptest.WithSink(tracer))
-	}
-	runner, err := comptest.NewRunner(opts...)
-	if err != nil {
-		return err
-	}
-	if _, err := runner.Campaign(ctx, units); err != nil {
-		return err
-	}
-	if fw.err != nil {
-		return fw.err
-	}
-	if tracer != nil {
-		tracer.Flush()
-		if err := tm.Add(sh.base, col.Spans()); err != nil {
-			return permanentf("dist: merge trace of local shard %d: %v", sh.base, err)
-		}
-	}
-	return nil
-}
-
-// executeWhole dispatches a mutate or explore job in one piece to a
-// single worker and relays its stream verbatim. These engines stream
-// reports without per-unit sequence numbers, so a worker lost AFTER
-// lines were already relayed cannot be requeued exactly-once — the
-// job fails loudly instead of duplicating reports; a worker lost
-// BEFORE any line was relayed retries cleanly on a survivor.
-func (c *Coordinator) executeWhole(ctx context.Context, ex serve.Execution) (string, error) {
-	n := need{kind: ex.Spec.Kind, dut: ex.Spec.DUT, stand: ex.Spec.Stand}
-	exclude := map[string]bool{}
-	prog := newProgress(1, ex.OnShards)
-	if rec := c.takeRecovered(ex.ID); rec != nil {
-		ad, held := rec.dispatches[wholeShard]
-		if held {
-			verdict, aerr := c.adoptWhole(ctx, ad, ex, len(rec.lines))
-			if aerr == nil {
-				prog.readopted(ad.worker)
-				c.mShardsReadopted.Inc()
-				c.mShardsCompleted.Inc()
-				execLogger(ex).Info("job re-adopted", "worker", ad.worker, "skipped", len(rec.lines))
-				return verdict, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return "", err
-			}
-			if len(rec.lines) > 0 {
-				// Reports already relayed and the retained job unreachable:
-				// with no sequence numbers to dedup on, a re-run would
-				// duplicate them. Fail loudly, like a mid-stream worker loss.
-				return "", fmt.Errorf("dist: cannot resume a %s job whose reports were already relayed "+
-					"(resubmit it): %w", ex.Spec.Kind, aerr)
-			}
-			c.journal.append(journalRec{T: "requeue", Job: ex.ID, Shard: wholeShard})
-			prog.requeued()
-			c.mRequeues.Inc()
-			execLogger(ex).Warn("job re-adoption failed; redispatching", "worker", ad.worker, "error", aerr.Error())
-		} else if len(rec.lines) > 0 {
-			return "", fmt.Errorf("dist: cannot resume a %s job: %d reports were already relayed "+
-				"and no worker retains the job; resubmit it", ex.Spec.Kind, len(rec.lines))
-		}
-	}
-	var lastErr error
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-		ls, _, err := c.reg.acquire(ctx, n, exclude, 0)
-		if errors.Is(err, ErrNoWorkers) {
-			prog.local()
-			c.mShardsLocal.Inc()
-			return c.srv.ExecuteLocal(ctx, ex)
+	if j.tm != nil {
+		decoded, err := report.DecodeSpans(&spans)
+		if err == nil {
+			err = j.tm.Add(sh.base, decoded)
 		}
 		if err != nil {
-			return "", err
+			return st, permanentf("dist: merge trace of local shard %d: %v", sh.base, err)
 		}
-		relayed := 0
-		verdict, derr := c.dispatchWhole(ctx, ls, ex, &relayed)
-		c.reg.release(ls.id)
-		if derr == nil {
-			prog.completed(ls.id)
-			c.mShardsCompleted.Inc()
-			return verdict, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-		var pe *permanentError
-		if errors.As(derr, &pe) {
-			return "", derr
-		}
-		if relayed > 0 {
-			return "", fmt.Errorf("dist: worker %s lost after relaying %d reports of a %s job; "+
-				"resubmit the job (its stream has no unit sequence to dedup on)", ls.id, relayed, ex.Spec.Kind)
-		}
-		lastErr = derr
-		if errors.Is(derr, errBusy) {
-			select {
-			case <-ctx.Done():
-				return "", ctx.Err()
-			case <-time.After(100 * time.Millisecond):
-			}
-			continue
-		}
-		c.reg.MarkLost(ls.id)
-		exclude[ls.id] = true
-		prog.requeued()
-		c.mRequeues.Inc()
 	}
-	return "", fmt.Errorf("dist: %s job failed on %d workers: %w", ex.Spec.Kind, c.opts.MaxAttempts, lastErr)
+	st.Verdict = verdict
+	return st, nil
 }
 
-func (c *Coordinator) dispatchWhole(ctx context.Context, ls lease, ex serve.Execution, relayed *int) (string, error) {
-	sctx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
-	defer cancel()
-	spec := ex.Spec
-	spec.Workbook = string(ex.Art.Source)
-	spec.WorkbookName = ""
-	spec.Tenant = "" // quota applies at the coordinator's front door only
-	spec.Trace = false // mutate/explore jobs reject the flag anyway
-	jobID, err := c.submit(sctx, ls.url, spec)
-	if err != nil {
-		return "", err
-	}
-	c.journal.append(journalRec{T: "dispatch", Job: ex.ID, Shard: wholeShard,
-		Worker: ls.id, URL: ls.url, Remote: jobID})
-	complete := false
-	defer func() {
-		if !complete {
-			c.cancelRemote(ls.url, jobID)
-		}
-	}()
-	verdict, err := c.streamWhole(sctx, ls, jobID, ex, 0, relayed)
-	if err != nil {
-		return "", err
-	}
-	complete = true
-	return verdict, nil
-}
+// writerFunc adapts a function to io.Writer.
+type writerFunc func(p []byte) (int, error)
 
-// streamWhole attaches to a worker-side mutate/explore job — fresh
-// dispatch and crash re-adoption share this path — skipping the first
-// skip lines (already relayed by a previous coordinator incarnation)
-// and relaying the rest verbatim, then reads the terminal status.
-func (c *Coordinator) streamWhole(sctx context.Context, ls lease, jobID string,
-	ex serve.Execution, skip int, relayed *int) (string, error) {
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet, ls.url+"/v1/jobs/"+jobID+"/stream", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("dist: stream from %s: %w", ls.id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("dist: stream from %s: status %d", ls.id, resp.StatusCode)
-	}
-	skipped := 0
-	if err := readLines(resp.Body, func(line []byte) error {
-		if skipped < skip {
-			skipped++
-			return nil
-		}
-		if _, err := ex.Log.Write(append(append([]byte(nil), line...), '\n')); err != nil {
-			return err
-		}
-		*relayed++
-		return nil
-	}); err != nil {
-		return "", fmt.Errorf("dist: stream from %s broke after %d reports: %w", ls.id, skipped+*relayed, err)
-	}
-	if skipped < skip {
-		return "", fmt.Errorf("dist: retained job on %s replayed only %d of %d already-relayed reports", ls.id, skipped, skip)
-	}
-	st, err := c.remoteStatus(ls.url, jobID)
-	if err != nil {
-		return "", fmt.Errorf("dist: terminal status from %s: %w", ls.id, err)
-	}
-	switch st.State {
-	case serve.StateDone:
-	case serve.StateFailed:
-		return "", permanentf("dist: worker %s failed the job: %s", ls.id, st.Error)
-	default:
-		return "", fmt.Errorf("dist: remote job ended %s", st.State)
-	}
-	if st.Mutation != nil && ex.OnMutation != nil {
-		ex.OnMutation(*st.Mutation)
-	}
-	if st.Exploration != nil && ex.OnExploration != nil {
-		ex.OnExploration(*st.Exploration)
-	}
-	return st.Verdict, nil
-}
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

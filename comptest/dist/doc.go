@@ -47,9 +47,12 @@
 // coordinator job cancels every in-flight shard dispatch and sends a
 // best-effort DELETE for the remote jobs.
 //
-// Mutate and explore jobs dispatch whole to a single worker (their
-// streams carry no unit sequence to dedup on) and are retried only if
-// nothing was relayed yet.
+// Mutate, explore and vet jobs take the same path as one open piece:
+// base 0, unknown length, line index as sequence number. Their engines
+// stream in Seq order at any parallelism, so the piece requeues, falls
+// back locally, is stolen and recovers from a coordinator crash exactly
+// like a campaign shard; its verdict and kind summary are the terminal
+// status of whichever execution completed it.
 //
 // The coordinator's GET /metrics answers for the whole fleet: it
 // scrapes every live worker's registry (each scrape bounded by

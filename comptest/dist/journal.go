@@ -44,8 +44,8 @@ type journalRec struct {
 	// t=plan: the campaign's pinned shard chunking.
 	ShardUnits int `json:"shard_units,omitempty"`
 
-	// t=dispatch / t=requeue. Shard is the shard's base unit sequence;
-	// wholeShard (-1) marks a mutate/explore job dispatched in one piece.
+	// t=dispatch / t=requeue. Shard is the shard's base sequence; a
+	// mutate, explore or vet job is one piece at base 0.
 	Shard  int    `json:"shard"`
 	Worker string `json:"worker,omitempty"`
 	URL    string `json:"url,omitempty"`
@@ -61,8 +61,6 @@ type journalRec struct {
 	// t=worker / t=worker_gone: fleet membership.
 	Info *WorkerInfo `json:"info,omitempty"`
 }
-
-const wholeShard = -1
 
 // journal is the append side. A nil *journal is valid and drops every
 // append — call sites stay unconditional whether or not -state-dir is
@@ -225,6 +223,9 @@ func replayJournal(path string) (*replayed, error) {
 }
 
 func (st *replayed) fold(rec journalRec) {
+	// Older journals address a job dispatched in one piece as shard -1;
+	// that piece starts at base 0.
+	rec.Shard = max(rec.Shard, 0)
 	switch rec.T {
 	case "job":
 		if rec.Spec == nil || rec.Job == "" {

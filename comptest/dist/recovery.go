@@ -2,10 +2,8 @@ package dist
 
 import (
 	"context"
-	"fmt"
 
 	"repro/comptest/serve"
-	"repro/internal/report"
 )
 
 // Recovery turns the replayed journal back into live coordinator
@@ -89,17 +87,8 @@ func (c *Coordinator) takeRecovered(id string) *recoveredJob {
 // dropped by the resumed merger and never tallied twice.
 func seedTally(tl *tally, lines [][]byte) {
 	for _, line := range lines {
-		trimmed := line[:len(line)-1]
-		if rep, err := report.DecodeJSON(trimmed); err == nil {
-			if rep.Passed() {
-				tl.passed++
-			} else {
-				tl.failed++
-			}
-			continue
-		}
-		if _, err := report.DecodeErrorLine(trimmed); err == nil {
-			tl.errored++
+		if rep, _, err := decodeUnitLine(line[:len(line)-1]); err == nil {
+			tl.book(rep)
 		}
 	}
 }
@@ -111,50 +100,12 @@ func seedTally(tl *tally, lines [][]byte) {
 // dispatch. Any failure falls back to the normal dispatch path; the
 // remote job is then best-effort cancelled so the worker stops
 // computing units the requeue will re-deliver.
-func (c *Coordinator) adoptShard(ctx context.Context, ad dispatchRec, ex serve.Execution,
-	sh shardSpec, merger *report.Merger, tl *tally, tm *report.TraceMerger) error {
+func (c *Coordinator) adoptShard(ctx context.Context, ad dispatchRec, j *jobRun, sh shardSpec) (serve.JobStatus, error) {
 	sctx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
 	defer cancel()
-	ls := lease{id: ad.worker, url: ad.url}
-	complete := false
-	defer func() {
-		if !complete {
-			c.cancelRemote(ad.url, ad.remote)
-		}
-	}()
-	if err := c.streamShard(sctx, ls, ad.remote, ex, sh, merger, tl, tm); err != nil {
-		return err
-	}
-	complete = true
-	return nil
-}
-
-// adoptWhole re-attaches to a retained mutate/explore job. The first
-// skip relayed lines were already journaled and are dropped; the rest
-// relay as usual. Whole jobs have no sequence numbers to dedup on, so
-// re-adoption is the ONLY way such a job survives a coordinator crash
-// once lines were relayed — a failed re-attach surfaces as a job
-// error telling the operator to resubmit.
-func (c *Coordinator) adoptWhole(ctx context.Context, ad dispatchRec, ex serve.Execution, skip int) (string, error) {
-	sctx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
-	defer cancel()
-	ls := lease{id: ad.worker, url: ad.url}
-	relayed := 0
-	complete := false
-	defer func() {
-		if !complete {
-			c.cancelRemote(ad.url, ad.remote)
-		}
-	}()
-	verdict, err := c.streamWhole(sctx, ls, ad.remote, ex, skip, &relayed)
+	st, err := c.streamShard(sctx, lease{id: ad.worker, url: ad.url}, ad.remote, j, sh)
 	if err != nil {
-		if relayed > 0 {
-			return "", fmt.Errorf("dist: lost worker %s after re-adopting %d reports of a %s job; "+
-				"resubmit the job (its stream has no unit sequence to dedup on): %v",
-				ad.worker, skip+relayed, ex.Spec.Kind, err)
-		}
-		return "", err
+		c.cancelRemote(ad.url, ad.remote)
 	}
-	complete = true
-	return verdict, nil
+	return st, err
 }

@@ -287,3 +287,35 @@ func TestRunStreamsToSink(t *testing.T) {
 		}
 	}
 }
+
+// TestSinkStreamsInSeqOrder: with early kill stopping mutant groups,
+// the sink still sees strictly increasing Seq values, and the stream
+// at parallelism 4 is the stream at parallelism 1.
+func TestSinkStreamsInSeqOrder(t *testing.T) {
+	plan := paperPlan(t)
+	stream := func(par int) []int {
+		var seqs []int
+		if _, err := Run(context.Background(), plan, Options{Parallelism: par,
+			Sink: comptest.SinkFunc(func(res comptest.Result) { seqs = append(seqs, res.Seq) })}); err != nil {
+			t.Fatal(err)
+		}
+		return seqs
+	}
+	want := stream(1)
+	for i := 1; i < len(want); i++ {
+		if want[i] <= want[i-1] {
+			t.Fatalf("sequential stream out of order at %d: %v", i, want)
+		}
+	}
+	for run := 0; run < 3; run++ {
+		got := stream(4)
+		if len(got) != len(want) {
+			t.Fatalf("parallel stream has %d results, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("parallel stream diverges at %d: Seq %d, want %d", i, got[i], want[i])
+			}
+		}
+	}
+}

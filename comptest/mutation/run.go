@@ -40,9 +40,11 @@ type Matrix struct {
 type Options struct {
 	// Parallelism bounds the campaign worker pool (default 1).
 	Parallelism int
-	// Sink, when non-nil, additionally receives every unit result as it
-	// completes — baseline runs and mutant runs alike, in completion
-	// order. The campaign service streams live NDJSON through this.
+	// Sink, when non-nil, additionally receives every unit result —
+	// baseline runs and mutant runs alike — in Seq order, the units an
+	// early kill stopped passed over. The stream therefore depends only
+	// on the plan and options, never on Parallelism. The campaign
+	// service streams live NDJSON through this.
 	Sink comptest.Sink
 	// KillStats, when non-nil, orders each mutant's scripts by their
 	// demonstrated kill count from a previous run (lint.ReadKillMatrixFile
@@ -111,7 +113,7 @@ func Run(ctx context.Context, plan *Plan, opts Options) (*Matrix, error) {
 		comptest.WithSink(collector),
 	}
 	if opts.Sink != nil {
-		ropts = append(ropts, comptest.WithSink(opts.Sink))
+		ropts = append(ropts, comptest.WithSink(comptest.Ordered(opts.Sink)))
 	}
 	r, err := comptest.NewRunner(ropts...)
 	if err != nil {

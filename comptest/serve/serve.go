@@ -829,7 +829,7 @@ func (s *Server) runCampaign(ctx context.Context, ex Execution) (string, error) 
 }
 
 // runMutate executes the kill matrix of the job's suite, streaming
-// baseline and mutant reports as they complete.
+// baseline and mutant reports in unit order.
 func (s *Server) runMutate(ctx context.Context, ex Execution) (string, error) {
 	plan, err := mutation.Enumerate(ex.Spec.DUT, ex.Spec.Stand, ex.Art.Suite)
 	if err != nil {

@@ -31,8 +31,7 @@ type Tracer struct {
 	mu    sync.Mutex
 	sink  report.TraceSink
 	units map[int]*unitTrace
-	done  map[int]Result
-	next  int   // next seq to release
+	done  *report.Sequence[Result]
 	base  int64 // accumulated as-if-sequential timeline offset, ns
 	fail  bool  // any released unit failed or errored
 	count int   // units released
@@ -43,7 +42,7 @@ func NewTracer(sink report.TraceSink) *Tracer {
 	return &Tracer{
 		sink:  sink,
 		units: make(map[int]*unitTrace),
-		done:  make(map[int]Result),
+		done:  report.NewSequence[Result](0),
 	}
 }
 
@@ -73,15 +72,9 @@ func (t *Tracer) Attach(units []Unit) {
 func (t *Tracer) Emit(res Result) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.done[res.Seq] = res
-	for {
-		r, ok := t.done[t.next]
-		if !ok {
-			return
-		}
-		delete(t.done, t.next)
+	t.done.Offer(res.Seq, res)
+	for r := range t.done.Release() {
 		t.release(r)
-		t.next++
 	}
 }
 
@@ -92,12 +85,8 @@ func (t *Tracer) Flush() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Remaining buffered results, in seq order past any gaps.
-	for len(t.done) > 0 {
-		if r, ok := t.done[t.next]; ok {
-			delete(t.done, t.next)
-			t.release(r)
-		}
-		t.next++
+	for r := range t.done.Flush() {
+		t.release(r)
 	}
 	verdict := "pass"
 	if t.fail || t.count == 0 {

@@ -2,7 +2,6 @@ package report
 
 import (
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -22,10 +21,7 @@ import (
 type Merger struct {
 	mu      sync.Mutex
 	w       io.Writer
-	next    int
-	floor   int // sequences below floor were flushed pre-resume
-	pending map[int][]byte
-	seen    map[int]bool
+	seq     *Sequence[[]byte]
 	written int
 	dupes   int
 	err     error
@@ -34,9 +30,7 @@ type Merger struct {
 // NewMerger builds a Merger writing merged lines to w. Each accepted
 // line is written with exactly one Write call (trailing newline
 // included, as delivered).
-func NewMerger(w io.Writer) *Merger {
-	return &Merger{w: w, pending: map[int][]byte{}, seen: map[int]bool{}}
-}
+func NewMerger(w io.Writer) *Merger { return ResumeMerger(w, 0) }
 
 // ResumeMerger builds a Merger that continues an interrupted merge:
 // sequences below floor were already flushed to the stream by a
@@ -46,10 +40,7 @@ func NewMerger(w io.Writer) *Merger {
 // journaled contiguous prefix stays written exactly once while every
 // re-adopted or re-run shard replays its full range.
 func ResumeMerger(w io.Writer, floor int) *Merger {
-	m := NewMerger(w)
-	m.next = floor
-	m.floor = floor
-	return m
+	return &Merger{w: w, seq: NewSequence[[]byte](floor)}
 }
 
 // Add offers the line for global sequence seq. It returns true when
@@ -62,27 +53,20 @@ func (m *Merger) Add(seq int, line []byte) (bool, error) {
 	if m.err != nil {
 		return false, m.err
 	}
-	if seq < m.floor || m.seen[seq] {
+	// Copy: the caller's buffer (a bufio reader's, typically) is only
+	// valid until its next read, while buffered lines live until flush.
+	if !m.seq.Offer(seq, append([]byte(nil), line...)) {
 		m.dupes++
 		return false, nil
 	}
-	m.seen[seq] = true
-	// Copy: the caller's buffer (a bufio scanner's, typically) is only
-	// valid until its next read, while buffered lines live until flush.
-	m.pending[seq] = append([]byte(nil), line...)
-	for {
-		l, ok := m.pending[m.next]
-		if !ok {
-			return true, nil
-		}
-		delete(m.pending, m.next)
+	for l := range m.seq.Release() {
 		if _, err := m.w.Write(l); err != nil {
 			m.err = err
 			return true, err
 		}
-		m.next++
 		m.written++
 	}
+	return true, nil
 }
 
 // Written returns the number of lines flushed to the writer in order.
@@ -104,7 +88,7 @@ func (m *Merger) Duplicates() int {
 func (m *Merger) Pending() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.pending)
+	return m.seq.Pending()
 }
 
 // Missing lists the sequence gaps below the highest accepted sequence
@@ -112,23 +96,7 @@ func (m *Merger) Pending() int {
 func (m *Merger) Missing() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.pending) == 0 {
-		return nil
-	}
-	top := m.next
-	for seq := range m.pending {
-		if seq > top {
-			top = seq
-		}
-	}
-	var gaps []int
-	for seq := m.next; seq <= top; seq++ {
-		if _, ok := m.pending[seq]; !ok {
-			gaps = append(gaps, seq)
-		}
-	}
-	sort.Ints(gaps)
-	return gaps
+	return m.seq.Missing()
 }
 
 // Err returns the latched write error, or nil.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -141,5 +143,95 @@ func TestMergerConcurrentAdds(t *testing.T) {
 	}
 	if m.Duplicates() != 3*units {
 		t.Errorf("duplicates = %d, want %d", m.Duplicates(), 3*units)
+	}
+}
+
+// TestSequenceRandomInterleavings drives the shared release core with
+// seeded random event orders mixing duplicates, a resume floor,
+// below-floor re-deliveries, skips and gaps that never fill. Release
+// must only ever emit a contiguous, increasing prefix; Flush must then
+// drain the rest past the gaps in order. Together they emit exactly the
+// sorted, unique, non-skipped sequences at or above the floor — the
+// first delivery of each.
+func TestSequenceRandomInterleavings(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		floor := rng.Intn(5)
+		n := floor + rng.Intn(40)
+		type event struct {
+			seq, val int
+			skip     bool
+		}
+		var events []event
+		var want []int // first-delivered values, in sequence order
+		gaps := map[int]bool{}
+		for seq := floor; seq < n; seq++ {
+			switch r := rng.Intn(10); {
+			case r == 0: // a gap: never arrives
+				gaps[seq] = true
+			case r == 1: // skipped: never arrives, and says so
+				events = append(events, event{seq: seq, skip: true})
+			default: // delivered one to three times
+				for dup := 0; dup <= rng.Intn(3); dup++ {
+					events = append(events, event{seq: seq, val: seq*10 + dup})
+				}
+			}
+		}
+		for i := 0; i < floor; i++ { // re-deliveries below the floor
+			events = append(events, event{seq: rng.Intn(floor), val: -1})
+		}
+		rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
+		first := map[int]int{}
+		for _, e := range events {
+			if _, ok := first[e.seq]; !ok && !e.skip && e.seq >= floor {
+				first[e.seq] = e.val
+			}
+		}
+		for seq := floor; seq < n; seq++ {
+			if v, ok := first[seq]; ok {
+				want = append(want, v)
+			}
+		}
+
+		s := NewSequence[int](floor)
+		var got []int
+		for _, e := range events {
+			if e.skip {
+				s.Skip(e.seq)
+			} else if accepted := s.Offer(e.seq, e.val); accepted != (first[e.seq] == e.val && e.seq >= floor) {
+				t.Fatalf("trial %d: Offer(%d, %d) = %v", trial, e.seq, e.val, accepted)
+			}
+			for v := range s.Release() {
+				got = append(got, v)
+			}
+			if !slices.Equal(got, want[:len(got)]) {
+				t.Fatalf("trial %d: Release emitted %v, not a prefix of %v", trial, got, want)
+			}
+		}
+		// Before the flush, Missing names exactly the gaps below the
+		// highest sequence that arrived or was skipped.
+		top := -1
+		for _, e := range events {
+			top = max(top, e.seq)
+		}
+		var wantGaps []int
+		for seq := range gaps {
+			if seq < top {
+				wantGaps = append(wantGaps, seq)
+			}
+		}
+		slices.Sort(wantGaps)
+		if missing := s.Missing(); !slices.Equal(missing, wantGaps) {
+			t.Fatalf("trial %d: Missing = %v, want %v", trial, missing, wantGaps)
+		}
+		for v := range s.Flush() {
+			got = append(got, v)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: released %v, want %v", trial, got, want)
+		}
+		if s.Pending() != 0 || (top >= floor && s.Offer(top, 0)) {
+			t.Fatalf("trial %d: flushed sequence still buffers or re-accepts %d", trial, top)
+		}
 	}
 }

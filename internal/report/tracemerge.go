@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,23 +32,17 @@ import (
 type TraceMerger struct {
 	mu      sync.Mutex
 	sink    TraceSink
-	next    int              // next global unit seq to release
-	pending map[int][]Span   // buffered unit subtrees, unit-relative times
-	seen    map[int]bool     // global seqs accepted (released or buffered)
-	base    int64            // accumulated global timeline offset, ns
-	fail    bool             // any released unit not "pass"
-	count   int              // units released
+	seq     *Sequence[[]Span] // unit subtrees by global seq, unit-relative times
+	base    int64             // accumulated global timeline offset, ns
+	fail    bool              // any released unit not "pass"
+	count   int               // units released
 	written int
 	dupes   int
 }
 
 // NewTraceMerger builds a TraceMerger emitting merged spans to sink.
 func NewTraceMerger(sink TraceSink) *TraceMerger {
-	return &TraceMerger{
-		sink:    sink,
-		pending: map[int][]Span{},
-		seen:    map[int]bool{},
-	}
+	return &TraceMerger{sink: sink, seq: NewSequence[[]Span](0)}
 }
 
 // Add merges one shard's complete span stream, whose shard-local unit 0
@@ -65,30 +58,16 @@ func (m *TraceMerger) Add(base int, spans []Span) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, u := range units {
-		m.offer(base+u.local, rebase(u, base))
+		if !m.seq.Offer(base+u.local, rebase(u, base)) {
+			m.dupes++
+		}
 	}
 	// Release every buffered unit whose turn has come, accumulating the
 	// global timeline exactly like the single-node Tracer.
-	for {
-		subtree, ok := m.pending[m.next]
-		if !ok {
-			return nil
-		}
-		delete(m.pending, m.next)
+	for subtree := range m.seq.Release() {
 		m.release(subtree)
-		m.next++
 	}
-}
-
-// offer records one normalised unit subtree under its global sequence,
-// dropping duplicates. Caller holds m.mu.
-func (m *TraceMerger) offer(seq int, subtree []Span) {
-	if m.seen[seq] {
-		m.dupes++
-		return
-	}
-	m.seen[seq] = true
-	m.pending[seq] = subtree
+	return nil
 }
 
 // release emits one unit subtree at the current timeline base. The
@@ -116,17 +95,8 @@ func (m *TraceMerger) release(subtree []Span) {
 func (m *TraceMerger) Flush() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.pending) > 0 {
-		seqs := make([]int, 0, len(m.pending))
-		for seq := range m.pending {
-			seqs = append(seqs, seq)
-		}
-		sort.Ints(seqs)
-		for _, seq := range seqs {
-			subtree := m.pending[seq]
-			delete(m.pending, seq)
-			m.release(subtree)
-		}
+	for subtree := range m.seq.Flush() {
+		m.release(subtree)
 	}
 	verdict := "pass"
 	if m.fail || m.count == 0 {
@@ -160,7 +130,7 @@ func (m *TraceMerger) Duplicates() int {
 func (m *TraceMerger) Pending() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.pending)
+	return m.seq.Pending()
 }
 
 // shardUnit is one unit subtree cut out of a shard's span stream, still
