@@ -8,6 +8,7 @@ import (
 	"repro/comptest"
 	"repro/comptest/mutation"
 	"repro/internal/paper"
+	"repro/internal/report"
 	"repro/internal/workbooks"
 )
 
@@ -104,6 +105,20 @@ func verifyPromotedKills(t *testing.T, res *Result, fault string) {
 	t.Fatalf("fault %s not in the mutant matrix", fault)
 }
 
+// pinSummary requires the exploration's text report to equal the
+// EXPERIMENTS.md C3 record byte for byte: candidates, stand runs,
+// coverage keys and every corpus entry with its length and kills.
+func pinSummary(t *testing.T, res *Result, want string) {
+	t.Helper()
+	var b strings.Builder
+	if err := report.WriteExplorationText(&b, res.Exploration()); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != want {
+		t.Errorf("exploration summary differs from the C3 record\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestExploreKillsOnlyFL is the first half of the C3 acceptance
 // criterion: the paper suite leaves only_fl alive (C2); exploration of
 // the interior light with a fixed seed and bounded budget discovers,
@@ -115,6 +130,15 @@ func TestExploreKillsOnlyFL(t *testing.T) {
 		t.Fatalf("no only_fl killer discovered (corpus %d, %d keys)",
 			res.Corpus.Len(), res.Coverage.Len())
 	}
+	pinSummary(t, res, `Scenario exploration report
+========================================================================
+interior_light on paper_stand: seed 1, budget 16 candidates
+executed 16 candidates (122 stand runs total), 23 coverage keys, corpus 3
+  Explore0004     6 steps (shrunk from 16)      4.5s  +17 keys  KILLS only_fl
+  Explore0006     4 steps (shrunk from  5)      2.0s  +3 keys  KILLS only_fl
+  Explore0008     4 steps (shrunk from 10)      9.5s  +3 keys  KILLS only_fl
+3 scenario(s) kill previously surviving mutants — promote them into the workbook
+`)
 	// The killing scenario must open a rear door — the exact stimulus
 	// the paper's table never applies (lint's unstimulated-input gap).
 	var opensRear bool
@@ -144,6 +168,17 @@ func TestExploreKillsNoThermal(t *testing.T) {
 		t.Fatalf("no no_thermal killer discovered (corpus %d, %d keys)",
 			res.Corpus.Len(), res.Coverage.Len())
 	}
+	// The record equals the all-ticked run: fast-forward may not move it.
+	pinSummary(t, res, `Scenario exploration report
+========================================================================
+window_lifter on full_lab: seed 1, budget 12 candidates
+executed 12 candidates (224 stand runs total), 26 coverage keys, corpus 4
+  Explore0000    13 steps (shrunk from 26)     20.0s  +24 keys
+  Explore0005    12 steps (shrunk from 23)     21.0s  +1 keys
+  Explore0006    19 steps (shrunk from 25)     42.0s  +0 keys  KILLS no_thermal
+  Explore0008    16 steps (shrunk from 19)     36.0s  +0 keys  KILLS no_thermal
+2 scenario(s) kill previously surviving mutants — promote them into the workbook
+`)
 	verifyPromotedKills(t, res, "no_thermal")
 }
 

@@ -54,6 +54,18 @@ type pinner struct {
 	// electrical levels, "b/<signal>/<value>" for CAN payloads.
 	byLevel map[string]string
 	nextSyn int
+	// bands memoises the evaluated get_u limits per status name for
+	// bandsUbatt: rows are immutable once in the table, and statusFor
+	// consults every row for every observed level.
+	bands      map[string]band
+	bandsUbatt float64
+}
+
+// band is one status row's evaluated get_u limits; ok is false when
+// they do not evaluate.
+type band struct {
+	lo, hi float64
+	ok     bool
 }
 
 // newPinner clones the suite's status table so synthesis never touches
@@ -66,7 +78,8 @@ func newPinner(suite *comptest.Suite) (*pinner, error) {
 			return nil, err
 		}
 	}
-	return &pinner{suite: suite, tbl: tbl, byLevel: map[string]string{}}, nil
+	return &pinner{suite: suite, tbl: tbl, byLevel: map[string]string{},
+		bands: map[string]band{}}, nil
 }
 
 // pin converts a stimulus walk and its trace into a Promotion: for
@@ -141,15 +154,27 @@ func (p *pinner) statusFor(sig *sigdef.Signal, o stand.OutputState, ubatt float6
 		if st.Method != "get_u" {
 			continue
 		}
-		lo, hi, err := st.EvalLimits(expr.MapEnv{"ubatt": ubatt})
-		if err != nil {
-			continue
-		}
-		if o.Volts >= lo && o.Volts <= hi {
+		if b := p.band(st, ubatt); b.ok && o.Volts >= b.lo && o.Volts <= b.hi {
 			return name, nil
 		}
 	}
 	return p.synthesise(sig, o, ubatt)
+}
+
+// band returns the row's get_u limits at the supply voltage, evaluated
+// once per row.
+func (p *pinner) band(st *status.Status, ubatt float64) band {
+	if ubatt != p.bandsUbatt {
+		clear(p.bands)
+		p.bandsUbatt = ubatt
+	}
+	b, ok := p.bands[st.Name]
+	if !ok {
+		lo, hi, err := st.EvalLimits(expr.MapEnv{"ubatt": ubatt})
+		b = band{lo: lo, hi: hi, ok: err == nil}
+		p.bands[st.Name] = b
+	}
+	return b
 }
 
 // synthesise adds a new status row for an observed level no existing

@@ -32,6 +32,10 @@ type WindowLifter struct {
 	motorOnAcc time.Duration
 	inhibitTil time.Duration
 	lastTick   time.Duration // -1 until the first tick after a reset
+	// charging records that the previous tick ran a motor against the
+	// thermal budget; the task ticks a fast-forward skipped since then
+	// ran it too, because the outputs stayed constant across the jump.
+	charging bool
 }
 
 // WindowLifterPins is the connector pinout.
@@ -94,6 +98,7 @@ func (m *WindowLifter) Reset() {
 	m.motorOnAcc = 0
 	m.inhibitTil = 0
 	m.lastTick = -1
+	m.charging = false
 	if m.motUp != nil {
 		m.motUp.Set(false)
 		m.motDown.Set(false)
@@ -131,9 +136,11 @@ func (m *WindowLifter) QuiescentUntil(now time.Duration) (time.Duration, bool) {
 
 // Tick implements ECU.
 func (m *WindowLifter) Tick(now time.Duration, sol *analog.Solution) {
-	dt := now - m.lastTick
-	if m.lastTick < 0 {
-		dt = TaskPeriod
+	// skipped is the running time of the task ticks a fast-forward
+	// jumped over since the previous tick; zero on a ticked run.
+	var skipped time.Duration
+	if m.charging {
+		skipped = now - m.lastTick - TaskPeriod
 	}
 	m.lastTick = now
 
@@ -164,18 +171,21 @@ func (m *WindowLifter) Tick(now time.Duration, sol *analog.Solution) {
 	runUp := want == +1 && now-m.moveStart < limit
 	runDown := want == -1 && now-m.moveStart < limit
 
-	// R5 thermal budget.
+	// R5 thermal budget: every tick that runs a motor charges one task
+	// period.
 	if !m.Fault("no_thermal") {
+		m.motorOnAcc += skipped
 		if now < m.inhibitTil {
 			runUp, runDown = false, false
 		} else if runUp || runDown {
-			m.motorOnAcc += dt
+			m.motorOnAcc += TaskPeriod
 			if m.motorOnAcc >= ThermalBudget {
 				m.motorOnAcc = 0
 				m.inhibitTil = now + ThermalCooldown
 				runUp, runDown = false, false
 			}
 		}
+		m.charging = runUp || runDown
 	}
 
 	if m.Fault("no_interlock") && up && down {

@@ -139,6 +139,11 @@ func (p *Periodic) arm() {
 // Period returns the series period.
 func (p *Periodic) Period() time.Duration { return p.period }
 
+// Next returns the time of the series' next occurrence. While the series
+// is suspended it is the first occurrence not yet fired, which Resume
+// drops when the clock has reached it.
+func (p *Periodic) Next() time.Duration { return p.next }
+
 // Stop cancels the series permanently.
 func (p *Periodic) Stop() {
 	p.stopped = true

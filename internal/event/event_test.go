@@ -201,3 +201,38 @@ func TestWhen(t *testing.T) {
 		t.Errorf("When = %v", e.When())
 	}
 }
+
+func TestPeriodicNextAcrossSuspend(t *testing.T) {
+	var s Scheduler
+	var fired []time.Duration
+	p := s.Periodic(50*time.Millisecond, func() { fired = append(fired, s.Now()) })
+	if p.Next() != 50*time.Millisecond {
+		t.Fatalf("Next = %v, want 50ms", p.Next())
+	}
+	s.RunUntil(120 * time.Millisecond)
+	if p.Next() != 150*time.Millisecond {
+		t.Fatalf("Next = %v, want 150ms", p.Next())
+	}
+	// Parked, the series keeps its first unfired occurrence; a resume at
+	// exactly that time drops it and re-arms on the original grid.
+	p.Suspend()
+	s.RunUntil(300 * time.Millisecond)
+	if p.Next() != 150*time.Millisecond {
+		t.Fatalf("suspended Next = %v, want 150ms", p.Next())
+	}
+	p.Resume()
+	if p.Next() != 350*time.Millisecond {
+		t.Fatalf("resumed Next = %v, want 350ms", p.Next())
+	}
+	s.RunUntil(400 * time.Millisecond)
+	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond,
+		350 * time.Millisecond, 400 * time.Millisecond}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+}

@@ -112,17 +112,24 @@ const fastForwardMargin = 4 * ecu.TaskPeriod
 const ffWarmup = ReusePhase
 
 // advanceTo advances simulated time to target. When quiet is true (no
-// samplers armed), no trace observer is attached, no PWM waveform is
-// toggling and the DUT promises quiescence, the idle window is crossed
-// by suspending the periodic drivers — the task ticker and the CAN
-// retransmit groups — and jumping the (then empty) event queue in O(1),
-// resuming phase-preserving: after a resume, every driver fires at
-// exactly the times an uninterrupted run would have produced. One-shot
-// events (in-flight CAN frame deliveries) are never skipped, and the
-// stand always runs normally for ffWarmup after the step's stimuli (and
-// after every promised wake it crosses) before jumping.
+// samplers armed), no PWM waveform is toggling and the DUT promises
+// quiescence, the idle window is crossed by suspending the periodic
+// drivers — the task ticker, the CAN retransmit groups and the trace
+// sampler — and jumping the (then empty) event queue in O(1), resuming
+// phase-preserving: after a resume, every driver fires at exactly the
+// times an uninterrupted run would have produced. An attached Observer
+// still sees every trace sample of a jumped window (sampleSkipped).
+// One-shot events (in-flight CAN frame deliveries) are never skipped,
+// and the stand always runs normally for ffWarmup after the step's
+// stimuli (and after every promised wake it crosses) before jumping.
+//
+// A promise is only trusted until the earliest wake the DUT announced:
+// re-asked right after a jump, before any tick caught its state up, a
+// model may promise a later wake than the one still pending. Every
+// jump therefore ends fastForwardMargin before the earliest known
+// pending wake, and the stand ticks through the promised transition.
 func (s *Stand) advanceTo(target time.Duration, quiet bool) {
-	if !s.ff || !quiet || s.obs != nil || s.dut == nil {
+	if !s.ff || !quiet || s.dut == nil {
 		s.sched.RunUntil(target)
 		return
 	}
@@ -131,8 +138,8 @@ func (s *Stand) advanceTo(target time.Duration, quiet bool) {
 		s.sched.RunUntil(target)
 		return
 	}
-	// settled is when the current warmup ends; pendingWake is the next
-	// promised model transition (-1: none known).
+	// settled is when the current warmup ends; pendingWake is the
+	// earliest promised model transition not yet crossed (-1: none).
 	settled := s.sched.Now() + ffWarmup
 	pendingWake := time.Duration(-1)
 	for {
@@ -150,7 +157,7 @@ func (s *Stand) advanceTo(target time.Duration, quiet bool) {
 			s.sched.RunUntil(target)
 			return
 		}
-		if wake != ecu.Forever && wake > pendingWake {
+		if wake != ecu.Forever && (pendingWake < 0 || wake < pendingWake) {
 			pendingWake = wake
 		}
 		if pendingWake >= 0 && now >= pendingWake {
@@ -170,8 +177,8 @@ func (s *Stand) advanceTo(target time.Duration, quiet bool) {
 			continue
 		}
 		jump := target
-		if wake != ecu.Forever && wake-fastForwardMargin < jump {
-			jump = wake - fastForwardMargin
+		if pendingWake >= 0 && pendingWake-fastForwardMargin < jump {
+			jump = pendingWake - fastForwardMargin
 		}
 		if jump <= now+fastForwardMargin {
 			// Wake imminent (or already due): tick one task period the
@@ -194,7 +201,9 @@ func (s *Stand) advanceTo(target time.Duration, quiet bool) {
 			s.sched.RunUntil(next)
 			continue
 		}
+		s.sampleSkipped(jump)
 		s.sched.RunUntil(jump)
+		s.Skipped += jump - now
 		s.resumePeriodics()
 	}
 }
@@ -207,6 +216,9 @@ type periodicSuspender interface {
 }
 
 func (s *Stand) suspendPeriodics() {
+	if s.trace != nil {
+		s.trace.p.Suspend()
+	}
 	if s.ticker != nil {
 		s.ticker.Suspend()
 	}
@@ -216,7 +228,14 @@ func (s *Stand) suspendPeriodics() {
 	}
 }
 
+// resumePeriodics re-arms the drivers, the trace sampler first: in an
+// uninterrupted run its occurrence at a shared grid time was armed
+// before the task tick's, so it samples the outputs before that tick
+// can change them, and the resumed order must keep that.
 func (s *Stand) resumePeriodics() {
+	if s.trace != nil {
+		s.trace.p.Resume()
+	}
 	if s.ticker != nil {
 		s.ticker.Resume()
 	}

@@ -78,8 +78,10 @@ type Stand struct {
 	dut    ecu.ECU
 	ticker *ecu.Ticker
 
-	// obs, when non-nil, receives the behavioural trace (see trace.go).
-	obs Observer
+	// obs, when non-nil, receives the behavioural trace (see trace.go);
+	// trace is its sampler while a step's dt elapses.
+	obs   Observer
+	trace *traceSampler
 
 	// held maps lower signal name → persistent stimulus state.
 	held map[string]*heldStimulus
@@ -99,9 +101,11 @@ type Stand struct {
 	// disable it to compare against ground-truth tick-by-tick execution.
 	ff bool
 
-	// stats for benchmarking/EXPERIMENTS.
+	// stats for benchmarking/EXPERIMENTS. Skipped is the simulated time
+	// the quiescence fast-forward crossed by jumps instead of ticks.
 	Allocations uint64
 	Solves      uint64
+	Skipped     time.Duration
 }
 
 type heldStimulus struct {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analog"
 	"repro/internal/canbus"
+	"repro/internal/event"
 	"repro/internal/report"
 	"repro/internal/script"
 	"repro/internal/sigdef"
@@ -37,11 +38,17 @@ type OutputState struct {
 	Valid bool
 }
 
-// Observer receives behavioural events while RunContext executes a
-// script. All callbacks run on the executing goroutine, in simulated
-// time order; an observer attached to one Stand never sees concurrent
-// calls. The coverage-guided exploration engine (comptest/explore)
-// records output/CAN transitions through this hook.
+// Observer receives behavioural events while RunContext or RunCompiled
+// executes a script. All callbacks run on the executing goroutine, in
+// simulated time order; an observer attached to one Stand never sees
+// concurrent calls. The coverage-guided exploration engine
+// (comptest/explore) records output/CAN transitions through this hook.
+//
+// Attaching an observer changes neither the report nor the quiescence
+// fast-forward: across a window the stand jumps, it reports the skipped
+// samples itself, with the outputs it observed once for the window. The
+// outputs slice passed to a callback may therefore be shared by
+// consecutive samples; observers treat it as read-only.
 type Observer interface {
 	// RunStarted is called once per run, after validation and reset,
 	// before the init block is applied.
@@ -161,13 +168,47 @@ func (m multiObserver) RunFinished(rep *report.Report) {
 	}
 }
 
+// traceSampler is the armed trace sampling of one step: a suspendable
+// periodic series the fast-forward parks with the other drivers, plus
+// what the skipped samples of a jumped window are reported against.
+type traceSampler struct {
+	p    *event.Periodic
+	sc   *script.Script
+	step int
+}
+
 // startTrace arms the periodic trace sampling of one step and returns
 // its stop function (a no-op when no observer is attached).
 func (s *Stand) startTrace(sc *script.Script, step *script.Step) func() {
 	if s.obs == nil {
 		return func() {}
 	}
-	return s.sched.Every(TracePeriod, func() {
-		s.obs.OutputsSampled(s.sched.Now(), step.Nr, s.observeOutputs(sc))
+	tr := &traceSampler{sc: sc, step: step.Nr}
+	tr.p = s.sched.Periodic(TracePeriod, func() {
+		s.obs.OutputsSampled(s.sched.Now(), tr.step, s.observeOutputs(tr.sc))
 	})
+	s.trace = tr
+	return func() {
+		tr.p.Stop()
+		s.trace = nil
+	}
+}
+
+// sampleSkipped reports the trace samples a fast-forward jump to end
+// crosses: every grid point of the parked sampler up to and including
+// end (Resume drops a grid point equal to end, so it belongs to the
+// window). The DUT promised constant outputs across the window, so one
+// solve serves every sample, and they share one outputs slice.
+func (s *Stand) sampleSkipped(end time.Duration) {
+	tr := s.trace
+	if tr == nil {
+		return
+	}
+	var outs []OutputState
+	for at := tr.p.Next(); at <= end; at += TracePeriod {
+		if outs == nil {
+			outs = s.observeOutputs(tr.sc)
+		}
+		s.obs.OutputsSampled(at, tr.step, outs)
+	}
 }
