@@ -23,17 +23,10 @@ type Unit struct {
 	Compiled *script.Compiled
 	Stand    string // registered stand profile, "" = Runner default
 	DUT      string // registered DUT model, "" = Runner default
-	// Factory, when non-nil, builds this unit's DUT instance directly,
-	// overriding both DUT and the Runner's default. Campaign calls it
-	// once per unit, so mutated models (see FaultedFactory) never share
-	// state across concurrent executions. Units with a Factory never
-	// share pooled stands.
-	Factory DUTFactory
 	// Faults are injected into the unit's DUT (ecu.ECU.InjectFault)
-	// before the run and cleared afterwards. Unlike a FaultedFactory
-	// DUT, a unit with Faults and a registered DUT name can reuse a
-	// pooled stand — the mutation engine runs its fault mutants this
-	// way.
+	// before the run and cleared afterwards, so a faulted unit reuses a
+	// pooled stand like any other (see CheckFaults to validate the
+	// names up front).
 	Faults []string
 	// StopOnFail stops the run after the first step with a failing or
 	// erroring check; the remaining steps are reported as SKIP
@@ -45,8 +38,7 @@ type Unit struct {
 	// Each unit needs its own observer instance: units run concurrently
 	// under WithParallelism, and observer callbacks are only serialised
 	// within one unit. The exploration engine (comptest/explore) records
-	// coverage through this field. Units with an Observer never share
-	// pooled stands.
+	// coverage through this field.
 	Observer stand.Observer
 }
 
@@ -138,6 +130,11 @@ func (o *orderedSink) release() {
 // the Runner tells them which units a Group.Stop short-circuit will
 // never emit.
 type skipper interface{ Skip(seq int) }
+
+// starter is implemented by sinks that time units: the Runner tells
+// them, on the unit's goroutine and before its stand is acquired, that
+// unit seq is starting. Calls are serialised with Emit.
+type starter interface{ Start(seq int) }
 
 // Summary tallies a campaign. When the campaign is cancelled mid-run,
 // units that were never dispatched are counted in Skipped.
@@ -290,8 +287,8 @@ dispatch:
 }
 
 // runUnit executes one campaign unit on an exclusively owned stand —
-// pooled across units of equivalent configuration, freshly built
-// otherwise.
+// pooled across units of equivalent configuration (see standKey),
+// freshly built when the pool has none to spare.
 func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 	if u.Script == nil && u.Compiled != nil {
 		u.Script = u.Compiled.Script
@@ -301,19 +298,18 @@ func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 		res.Err = fmt.Errorf("comptest: unit %d has no script", seq)
 		return res
 	}
+	r.started(seq)
 	key := r.standKey(u)
 	st := r.takeStand(key)
 	if st == nil {
 		var err error
-		st, err = r.newStand(u.Stand, u.DUT, u.Factory, u.Script)
+		st, err = r.newStand(u.Stand, u.DUT, u.Script)
 		if err != nil {
 			res.Err = err
 			return res
 		}
 	}
-	if u.Observer != nil {
-		st.SetObserver(u.Observer)
-	}
+	st.SetObserver(u.Observer) // nil detaches a pooled stand's last observer
 	faulted := len(u.Faults) > 0
 	if faulted {
 		dut := st.DUT()

@@ -57,7 +57,7 @@ func TestOptionPlumbing(t *testing.T) {
 	if cfg.SettleTime != 250*time.Millisecond {
 		t.Errorf("settle = %v, want 250ms", cfg.SettleTime)
 	}
-	dut, err := r.newDUT("", nil)
+	dut, err := r.newDUT("")
 	if err != nil {
 		t.Fatal(err)
 	}

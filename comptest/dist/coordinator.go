@@ -17,7 +17,6 @@ import (
 	"repro/comptest/serve"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/stand"
 )
 
 // Options configures a Coordinator. Zero values select the defaults.
@@ -1091,8 +1090,8 @@ func (c *Coordinator) remoteStatus(baseURL, jobID string) (serve.JobStatus, erro
 // (surviving) workers behaving exactly like a single-node server, and
 // the executor a stolen shard (Options.StealLocal) runs on. The
 // sub-execution sees only the shard: its scripts, its lines forwarded
-// into the merger at the shard base, its spans buffered for the
-// TraceMerger and its observers offset by the base. Its kind summary
+// into the merger at the shard base and its spans buffered for the
+// TraceMerger. Its kind summary
 // and verdict come back as the shard's status.
 func (c *Coordinator) runLocal(ctx context.Context, j *jobRun, sh shardSpec, stolen bool) (serve.JobStatus, error) {
 	if stolen {
@@ -1122,9 +1121,6 @@ func (c *Coordinator) runLocal(ctx context.Context, j *jobRun, sh shardSpec, sto
 		}
 		return len(p), nil
 	})
-	if j.ex.Observer != nil {
-		sub.Observer = func(unit int) stand.Observer { return j.ex.Observer(sh.base + unit) }
-	}
 	var spans bytes.Buffer
 	if j.tm != nil {
 		sub.Trace = &spans

@@ -11,8 +11,9 @@
 //	client ◄────────────────────┘   exactly-once)            │ artifact cache
 //
 // The design leans entirely on two properties the repository already
-// guarantees: campaign units are independent (each gets a fresh stand
-// and DUT, so any unit can run on any node), and execution is
+// guarantees: campaign units are independent (each gets a stand and
+// DUT no observer can tell from fresh ones, so any unit can run on
+// any node), and execution is
 // deterministic (the same unit produces the same report bytes
 // anywhere — which is what makes "byte-identical merge" a testable
 // contract rather than a hope).

@@ -41,10 +41,11 @@
 // (RegisterStand, RegisterDUT) keyed by name — the four built-in stand
 // profiles (paper_stand, full_lab, mini_bench, hil_rack) and the four
 // built-in ECU models (interior_light, central_locking, window_lifter,
-// exterior_light) are pre-registered. FaultedFactory builds mutated
-// instances of a registered model; the comptest/mutation subpackage
-// uses it to run full mutation-testing campaigns (mutant enumeration,
-// kill matrix, test-strength reports) on top of Campaign, and the
+// exterior_light) are pre-registered. A unit names its DUT model and
+// the faults to inject into it (Unit.DUT, Unit.Faults); the
+// comptest/mutation subpackage runs full mutation-testing campaigns
+// (mutant enumeration, kill matrix, test-strength reports) that way on
+// top of Campaign, and the
 // comptest/explore subpackage searches the stimulus space for
 // scenarios that kill the mutants mutation leaves alive — campaign
 // units carry an optional stand.Observer (Unit.Observer) through which

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/comptest"
+	"repro/internal/ecu"
 	"repro/internal/paper"
 	"repro/internal/report"
 	"repro/internal/script"
@@ -34,11 +35,26 @@ func (r *recorder) StepFinished(step *script.Step, now time.Duration, outputs []
 
 func (r *recorder) RunFinished(rep *report.Report) { r.buf.WriteString("finished\n") }
 
-// observedRun executes one script on a freshly built stand with a
-// recorder (and the optional extra observer) attached, ticked or
-// fast-forwarded, and returns the encoded report and observer stream.
-func observedRun(t *testing.T, suite *comptest.Suite, standName string, f comptest.DUTFactory,
-	sc *script.Script, ff bool, extra stand.Observer) (rep, stream []byte) {
+// faultedFactory returns a factory of fresh instances of a registered
+// DUT model with the named faults injected; the names are checked up
+// front, so the factory itself cannot fail.
+func faultedFactory(dut string, faults ...string) (comptest.DUTFactory, error) {
+	if err := comptest.CheckFaults(dut, faults...); err != nil {
+		return nil, err
+	}
+	return func() ecu.ECU {
+		d, _ := comptest.NewDUT(dut)
+		for _, f := range faults {
+			_ = d.InjectFault(f)
+		}
+		return d
+	}, nil
+}
+
+// newStand builds the named stand profile for sc's harness with a DUT
+// from f attached.
+func newStand(t *testing.T, suite *comptest.Suite, standName string, f comptest.DUTFactory,
+	sc *script.Script) *stand.Stand {
 	t.Helper()
 	cfg, err := comptest.BuildStand(standName, suite.Registry, stand.HarnessFromScript(sc))
 	if err != nil {
@@ -51,6 +67,24 @@ func observedRun(t *testing.T, suite *comptest.Suite, standName string, f compte
 	if err := st.AttachDUT(f()); err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// observedRun executes one script on a freshly built stand with a
+// recorder (and the optional extra observer) attached, ticked or
+// fast-forwarded, and returns the encoded report and observer stream.
+func observedRun(t *testing.T, suite *comptest.Suite, standName string, f comptest.DUTFactory,
+	sc *script.Script, ff bool, extra stand.Observer) (rep, stream []byte) {
+	t.Helper()
+	return recordedRun(t, suite, newStand(t, suite, standName, f, sc), sc, ff, extra)
+}
+
+// recordedRun executes one script on st with a recorder (and the
+// optional extra observer) attached and returns the encoded report and
+// observer stream.
+func recordedRun(t *testing.T, suite *comptest.Suite, st *stand.Stand,
+	sc *script.Script, ff bool, extra stand.Observer) (rep, stream []byte) {
+	t.Helper()
 	c, err := script.Compile(sc, suite.Registry)
 	if err != nil {
 		t.Fatal(err)
@@ -79,17 +113,18 @@ func sameObserved(t *testing.T, label string, suite *comptest.Suite, standName s
 	}
 	if !bytes.Equal(tickedObs, fastObs) {
 		t.Errorf("%s: fast-forward observer stream differs from tick-by-tick:\n%s",
-			label, firstDiff(tickedObs, fastObs))
+			label, firstDiff(tickedObs, fastObs, "ticked", "fastfw"))
 	}
 	return tr
 }
 
-// firstDiff renders the first differing line of two observer streams.
-func firstDiff(a, b []byte) string {
+// firstDiff renders the first differing line of two observer streams,
+// labelled with the names of the runs that produced them.
+func firstDiff(a, b []byte, aName, bName string) string {
 	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
 	for i := 0; i < len(al) && i < len(bl); i++ {
 		if !bytes.Equal(al[i], bl[i]) {
-			return fmt.Sprintf("line %d\nticked: %s\nfastfw: %s", i+1, al[i], bl[i])
+			return fmt.Sprintf("line %d\n%s: %s\n%s: %s", i+1, aName, al[i], bName, bl[i])
 		}
 	}
 	return fmt.Sprintf("lengths %d vs %d lines", len(al), len(bl))
@@ -117,7 +152,7 @@ func TestObservedFastForwardEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			clean, err := comptest.FaultedFactory(dut)
+			clean, err := faultedFactory(dut)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,13 +189,13 @@ func TestObservedFastForwardEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			clean, err := comptest.FaultedFactory(opts.DUT)
+			clean, err := faultedFactory(opts.DUT)
 			if err != nil {
 				t.Fatal(err)
 			}
 			faulted := make([]comptest.DUTFactory, len(opts.Oracle))
 			for j, fault := range opts.Oracle {
-				if faulted[j], err = comptest.FaultedFactory(opts.DUT, fault); err != nil {
+				if faulted[j], err = faultedFactory(opts.DUT, fault); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -182,5 +217,52 @@ func TestObservedFastForwardEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReusedStandObserverStream pins run-relative observer time, the
+// property that lets observed units share pooled stands: on every
+// builtin pair, a stand that already ran another script (observed, as
+// a pooled traced unit would be) and was re-aligned for reuse
+// (stand.AlignForReuse) gives the next run's observer the same report
+// and stream a freshly built stand does.
+func TestReusedStandObserverStream(t *testing.T) {
+	pairs := 0
+	for _, dut := range comptest.DUTNames() {
+		wb, err := comptest.BuiltinWorkbook(dut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		suite := loadSuite(t, wb)
+		scripts, err := suite.GenerateScripts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean, err := faultedFactory(dut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, standName := range comptest.StandNames() {
+			for i, sc := range scripts {
+				label := fmt.Sprintf("%s on %s (%s)", sc.Name, standName, dut)
+				freshRep, freshObs := observedRun(t, suite, standName, clean, sc, true, nil)
+				st := newStand(t, suite, standName, clean, sc)
+				recordedRun(t, suite, st, scripts[(i+1)%len(scripts)], true, nil)
+				st.AlignForReuse()
+				reusedRep, reusedObs := recordedRun(t, suite, st, sc, true, nil)
+				if !bytes.Equal(freshRep, reusedRep) {
+					t.Errorf("%s: reused-stand report differs from fresh\nfresh:  %s\nreused: %s",
+						label, freshRep, reusedRep)
+				}
+				if !bytes.Equal(freshObs, reusedObs) {
+					t.Errorf("%s: reused-stand observer stream differs from fresh:\n%s",
+						label, firstDiff(freshObs, reusedObs, "fresh", "reused"))
+				}
+				pairs++
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("builtin matrix is empty")
 	}
 }

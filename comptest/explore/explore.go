@@ -43,6 +43,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/comptest"
@@ -126,19 +127,13 @@ type Explorer struct {
 	gen   *Generator
 	pin   *pinner
 
-	clean   comptest.DUTFactory
-	oracles []oracle
+	oracles []string // oracle fault names, sorted
 
 	cov    *Coverage
 	corpus *Corpus
 
 	executions int
 	candidates int
-}
-
-type oracle struct {
-	fault   string
-	factory comptest.DUTFactory
 }
 
 // Result is the outcome of one exploration run.
@@ -170,19 +165,10 @@ func New(suite *comptest.Suite, opts Options) (*Explorer, error) {
 		return nil, fmt.Errorf("explore: MaxSteps %d below MinSteps %d", opts.MaxSteps, opts.MinSteps)
 	}
 
-	clean, err := comptest.FaultedFactory(opts.DUT)
-	if err != nil {
+	oracles := append([]string(nil), opts.Oracle...)
+	sort.Strings(oracles)
+	if err := comptest.CheckFaults(opts.DUT, oracles...); err != nil {
 		return nil, err
-	}
-	var oracles []oracle
-	faults := append([]string(nil), opts.Oracle...)
-	sort.Strings(faults)
-	for _, f := range faults {
-		factory, err := comptest.FaultedFactory(opts.DUT, f)
-		if err != nil {
-			return nil, err
-		}
-		oracles = append(oracles, oracle{fault: f, factory: factory})
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -204,7 +190,6 @@ func New(suite *comptest.Suite, opts Options) (*Explorer, error) {
 		opts:    opts,
 		gen:     gen,
 		pin:     pin,
-		clean:   clean,
 		oracles: oracles,
 		cov:     NewCoverage(),
 		corpus:  &Corpus{},
@@ -232,7 +217,8 @@ func (e *Explorer) Run(ctx context.Context) (*Result, error) {
 			}
 			tr := &Trace{}
 			cands[i] = &candidate{tc: tc, sc: sc, trace: tr}
-			units[i] = comptest.Unit{Script: sc, Stand: e.opts.Stand, Factory: e.clean, Observer: tr}
+			units[i] = e.unit(sc)
+			units[i].Observer = tr
 		}
 		reps, err := e.campaign(ctx, units)
 		if err != nil {
@@ -262,7 +248,7 @@ func (e *Explorer) Run(ctx context.Context) (*Result, error) {
 			}
 			// The promoted script must pass on the clean DUT — it is
 			// the contract that makes its kills meaningful.
-			if !e.runPasses(ctx, promo.Script, e.clean) {
+			if !e.runPasses(ctx, promo.Script) {
 				continue
 			}
 			promo, keys = e.shrink(ctx, c.tc, promo, keys, novel, kills)
@@ -330,17 +316,23 @@ func (e *Explorer) campaign(ctx context.Context, units []comptest.Unit) ([]*repo
 // trace attached.
 func (e *Explorer) execTraced(ctx context.Context, sc *script.Script) (*Trace, *report.Report) {
 	tr := &Trace{}
-	reps, _ := e.campaign(ctx, []comptest.Unit{{
-		Script: sc, Stand: e.opts.Stand, Factory: e.clean, Observer: tr,
-	}})
+	u := e.unit(sc)
+	u.Observer = tr
+	reps, _ := e.campaign(ctx, []comptest.Unit{u})
 	return tr, reps[0]
 }
 
-// runPasses executes the script against the factory's DUT and reports
-// a fully green run.
-func (e *Explorer) runPasses(ctx context.Context, sc *script.Script, f comptest.DUTFactory) bool {
-	reps, _ := e.campaign(ctx, []comptest.Unit{{Script: sc, Stand: e.opts.Stand, Factory: f}})
+// runPasses executes the script against the clean DUT and reports a
+// fully green run.
+func (e *Explorer) runPasses(ctx context.Context, sc *script.Script) bool {
+	reps, _ := e.campaign(ctx, []comptest.Unit{e.unit(sc)})
 	return reps[0] != nil && reps[0].Passed()
+}
+
+// unit is one run of sc on the explored stand and DUT, with the named
+// faults injected.
+func (e *Explorer) unit(sc *script.Script, faults ...string) comptest.Unit {
+	return comptest.Unit{Script: sc, Stand: e.opts.Stand, DUT: e.opts.DUT, Faults: faults}
 }
 
 // killed reports whether a report constitutes a kill: the run completed
@@ -362,14 +354,14 @@ func (e *Explorer) oracleKills(ctx context.Context, sc *script.Script) []string 
 		return nil
 	}
 	units := make([]comptest.Unit, len(e.oracles))
-	for i, o := range e.oracles {
-		units[i] = comptest.Unit{Script: sc, Stand: e.opts.Stand, Factory: o.factory}
+	for i, f := range e.oracles {
+		units[i] = e.unit(sc, f)
 	}
 	reps, _ := e.campaign(ctx, units)
 	var out []string
-	for i, o := range e.oracles {
+	for i, f := range e.oracles {
 		if killed(reps[i]) {
-			out = append(out, o.fault)
+			out = append(out, f)
 		}
 	}
 	return out
@@ -380,15 +372,10 @@ func (e *Explorer) oracleKills(ctx context.Context, sc *script.Script) []string 
 func (e *Explorer) killsAll(ctx context.Context, sc *script.Script, faults []string) bool {
 	units := make([]comptest.Unit, 0, len(faults))
 	for _, f := range faults {
-		for _, o := range e.oracles {
-			if o.fault == f {
-				units = append(units, comptest.Unit{Script: sc, Stand: e.opts.Stand, Factory: o.factory})
-				break
-			}
+		if !slices.Contains(e.oracles, f) {
+			return false
 		}
-	}
-	if len(units) != len(faults) {
-		return false
+		units = append(units, e.unit(sc, f))
 	}
 	reps, _ := e.campaign(ctx, units)
 	for _, rep := range reps {

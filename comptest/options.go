@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/alloc"
-	"repro/internal/ecu"
 	"repro/internal/stand"
 )
 
@@ -50,18 +49,6 @@ func WithDUT(name string) Option {
 			return fmt.Errorf("comptest: unknown DUT %q (have %v)", name, DUTNames())
 		}
 		r.dutName = name
-		r.dutFactory = nil
-		return nil
-	}
-}
-
-// WithDUTFactory supplies an unregistered DUT model. The factory is
-// called once per execution unit. A nil factory means "no DUT" — the
-// stand runs against an empty socket.
-func WithDUTFactory(f func() ecu.ECU) Option {
-	return func(r *Runner) error {
-		r.dutFactory = DUTFactory(f)
-		r.dutName = ""
 		return nil
 	}
 }

@@ -27,18 +27,16 @@ func (r *Runner) compiledFor(sc *script.Script) *script.Compiled {
 }
 
 // standKey returns the pool key under which a unit's stand can be
-// reused, or "" when the unit must not share a stand: per-unit DUT
-// factories and observers bind state to one run, and a Runner-default
-// DUT factory makes the DUT identity unnameable.
+// reused, or "" when pooling is off (WithoutStandPool). Faults and
+// observers are per-run state the Runner sets and clears around every
+// run, and observers see run-relative time, so neither keeps a unit
+// off the pool.
 func (r *Runner) standKey(u Unit) string {
-	if r.noPool || u.Factory != nil || u.Observer != nil {
+	if r.noPool {
 		return ""
 	}
 	dut := u.DUT
 	if dut == "" {
-		if r.dutFactory != nil {
-			return ""
-		}
 		dut = r.dutName
 	}
 	standPart := u.Stand
@@ -54,7 +52,10 @@ func (r *Runner) standKey(u Unit) string {
 		strings.Join(h.Forward, ",") + "|" + strings.Join(h.Return, ",")
 }
 
-// takeStand pops a pooled stand for the key, or nil.
+// takeStand pops a pooled stand for the key, re-aligned so its next
+// run is byte-identical to one on a fresh stand (see
+// stand.AlignForReuse), or returns nil. Aligning on take rather than
+// on release spares the stands that are never reused.
 func (r *Runner) takeStand(key string) *stand.Stand {
 	if key == "" {
 		return nil
@@ -66,13 +67,15 @@ func (r *Runner) takeStand(key string) *stand.Stand {
 		return nil
 	}
 	st, _ := p.Get().(*stand.Stand)
+	if st != nil {
+		st.AlignForReuse()
+	}
 	return st
 }
 
-// releaseStand returns a stand to its pool after a run, re-aligned so
-// the next run is byte-identical to one on a fresh stand (see
-// stand.AlignForReuse). A stand whose DUT carries injected faults that
-// cannot be cleared is dropped rather than pooled.
+// releaseStand returns a stand to its pool after a run. A stand whose
+// DUT carries injected faults that cannot be cleared is dropped rather
+// than pooled.
 func (r *Runner) releaseStand(key string, st *stand.Stand, faulted bool) {
 	if key == "" {
 		return
@@ -84,7 +87,6 @@ func (r *Runner) releaseStand(key string, st *stand.Stand, faulted bool) {
 		}
 		cf.ClearFaults()
 	}
-	st.AlignForReuse()
 	r.poolMu.Lock()
 	p := r.pools[key]
 	if p == nil {

@@ -17,8 +17,8 @@ import (
 // paper's Table 3+4 stand — may ignore the harness.
 type StandBuilder func(reg *method.Registry, h stand.Harness) (stand.Config, error)
 
-// DUTFactory produces a fresh instance of an ECU model. Campaign calls
-// it once per execution unit, so models never share state across
+// DUTFactory produces a fresh instance of an ECU model. NewDUT calls it
+// for every stand it populates, so models never share state across
 // concurrent runs.
 type DUTFactory func() ecu.ECU
 
@@ -152,31 +152,20 @@ func NewDUT(name string) (ecu.ECU, error) {
 	return e.factory(), nil
 }
 
-// FaultedFactory returns a DUTFactory that produces fresh instances of
-// a registered ECU model with the named faults injected. The model and
-// fault names are validated once, up front, on a probe instance; the
-// returned factory then builds an independently faulted instance per
-// execution unit, so concurrent campaign units never share a mutant.
-func FaultedFactory(name string, faults ...string) (DUTFactory, error) {
-	probe, err := NewDUT(name)
+// CheckFaults validates a registered ECU model name and fault names
+// on a probe instance, so a typo fails up front rather than in every
+// campaign unit that carries them (Unit.DUT, Unit.Faults).
+func CheckFaults(dut string, faults ...string) error {
+	probe, err := NewDUT(dut)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, f := range faults {
 		if err := probe.InjectFault(f); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	injected := append([]string(nil), faults...)
-	return func() ecu.ECU {
-		// Name and faults were validated above; the registry has no
-		// deregistration, so these calls cannot fail.
-		dut, _ := NewDUT(name)
-		for _, f := range injected {
-			_ = dut.InjectFault(f)
-		}
-		return dut
-	}, nil
+	return nil
 }
 
 // DUTFaults lists the fault injections a registered ECU model supports,

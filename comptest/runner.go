@@ -27,10 +27,9 @@ import (
 type Runner struct {
 	methods *method.Registry
 
-	standName  string        // registered profile, used when standCfg == nil
-	standCfg   *stand.Config // explicit configuration
-	dutName    string        // registered model, used when dutFactory == nil
-	dutFactory DUTFactory
+	standName string        // registered profile, used when standCfg == nil
+	standCfg  *stand.Config // explicit configuration
+	dutName   string        // registered model, "" = no DUT
 
 	strategy *alloc.Strategy // nil = leave the profile's default
 	settle   time.Duration   // 0 = leave the profile's default
@@ -97,25 +96,20 @@ func (r *Runner) standConfig(standName string, sc *script.Script) (stand.Config,
 	return cfg, nil
 }
 
-// newDUT instantiates the DUT for one execution unit: the unit's
-// factory, the unit's named model, or the Runner's default. nil means
-// "no DUT".
-func (r *Runner) newDUT(dutName string, factory DUTFactory) (ecu.ECU, error) {
-	switch {
-	case factory != nil:
-		return factory(), nil
-	case dutName != "":
-		return NewDUT(dutName)
-	case r.dutFactory != nil:
-		return r.dutFactory(), nil
-	case r.dutName != "":
-		return NewDUT(r.dutName)
+// newDUT instantiates the DUT for one execution unit: the unit's named
+// model or the Runner's default. nil means "no DUT".
+func (r *Runner) newDUT(dutName string) (ecu.ECU, error) {
+	if dutName == "" {
+		dutName = r.dutName
 	}
-	return nil, nil
+	if dutName == "" {
+		return nil, nil
+	}
+	return NewDUT(dutName)
 }
 
 // newStand builds and populates a stand for one execution unit.
-func (r *Runner) newStand(standName, dutName string, factory DUTFactory, sc *script.Script) (*stand.Stand, error) {
+func (r *Runner) newStand(standName, dutName string, sc *script.Script) (*stand.Stand, error) {
 	cfg, err := r.standConfig(standName, sc)
 	if err != nil {
 		return nil, err
@@ -124,7 +118,7 @@ func (r *Runner) newStand(standName, dutName string, factory DUTFactory, sc *scr
 	if err != nil {
 		return nil, err
 	}
-	dut, err := r.newDUT(dutName, factory)
+	dut, err := r.newDUT(dutName)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +133,7 @@ func (r *Runner) newStand(standName, dutName string, factory DUTFactory, sc *scr
 // RunScript executes one script on a freshly built default stand and
 // returns its report. The context is honoured between steps.
 func (r *Runner) RunScript(ctx context.Context, sc *script.Script) (*report.Report, error) {
-	st, err := r.newStand("", "", nil, sc)
+	st, err := r.newStand("", "", sc)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +163,7 @@ func (r *Runner) RunPlan(ctx context.Context, plan *Plan) ([]*report.Report, err
 	if len(scripts) == 0 {
 		return nil, nil
 	}
-	st, err := r.newStand("", "", nil, scripts[0])
+	st, err := r.newStand("", "", scripts[0])
 	if err != nil {
 		return nil, err
 	}
@@ -195,6 +189,17 @@ func (r *Runner) emit(res Result) {
 	defer r.emitMu.Unlock()
 	for _, s := range r.sinks {
 		s.Emit(res)
+	}
+}
+
+// started tells the unit-timing sinks that unit seq is starting.
+func (r *Runner) started(seq int) {
+	for _, s := range r.sinks {
+		if st, ok := s.(starter); ok {
+			r.emitMu.Lock()
+			st.Start(seq)
+			r.emitMu.Unlock()
+		}
 	}
 }
 

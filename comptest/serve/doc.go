@@ -24,9 +24,9 @@
 //     bytes → parsed suite + generated scripts): repeated submissions
 //     of the same workbook skip parsing and script generation on the
 //     hot path. Cached artifacts are shared read-only across jobs —
-//     every execution layer below builds fresh stands and DUTs per
-//     unit, and mutation clones workbook artefacts before transforming
-//     them, so sharing is safe by construction.
+//     every execution layer below gives each unit an exclusively
+//     owned stand and DUT, and mutation clones workbook artefacts
+//     before transforming them, so sharing is safe by construction.
 //
 //   - Per-job context cancellation riding the existing
 //     stand.RunContext plumbing: DELETE cancels the job's context,

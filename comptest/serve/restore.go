@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/comptest/api"
 	"repro/internal/obs"
@@ -26,26 +25,16 @@ type RestoredJob struct {
 	// Workbook is the exact workbook text the job executes; it feeds
 	// the artifact cache like a fresh submission would.
 	Workbook string
-	// Submitted is the original acceptance instant; zero means "now".
-	Submitted time.Time
 	// Lines are the result-log lines recovered from the journal, in
 	// order, each newline-terminated. For a terminal job this is the
 	// full stream; for a resumed job it is the contiguous merged
 	// prefix, and the Executor continues from len(Lines).
 	Lines [][]byte
-	// State is the journaled terminal state, or "" for a job that was
-	// still in flight — such a job is re-enqueued and runs through the
-	// server's Executor again (which is where journal-aware resumption
-	// happens).
-	State   State
-	Verdict string
-	Error   string
-	// Final summaries of a terminal job, as journaled.
-	Campaign    *CampaignStatus
-	Mutation    *MutationStatus
-	Exploration *ExplorationStatus
-	Vet         *VetStatus
-	Shards      *ShardStatus
+	// Final is the journaled terminal status (state, verdict, error and
+	// the kind summaries), or nil for a job that was still in flight —
+	// such a job is re-enqueued and runs through the server's Executor
+	// again (which is where journal-aware resumption happens).
+	Final *JobStatus
 }
 
 // Restore installs a recovered job. Terminal jobs become immediately
@@ -62,16 +51,15 @@ func (s *Server) Restore(rj RestoredJob) error {
 	if rj.ID == "" {
 		return fmt.Errorf("serve: restore: job lacks an id")
 	}
-	if rj.State != "" && !api.Terminal(rj.State) {
-		return fmt.Errorf("serve: restore %s: non-terminal journaled state %q", rj.ID, rj.State)
+	final := rj.Final
+	if final == nil {
+		final = &JobStatus{State: StateQueued}
+	} else if !api.Terminal(final.State) {
+		return fmt.Errorf("serve: restore %s: non-terminal journaled state %q", rj.ID, final.State)
 	}
 	art, err := s.cache.Load([]byte(rj.Workbook))
 	if err != nil {
 		return fmt.Errorf("serve: restore %s: workbook: %v", rj.ID, err)
-	}
-	state := StateQueued
-	if rj.State != "" {
-		state = rj.State
 	}
 	jobCtx, jobCancel := context.WithCancel(s.ctx)
 	job := &Job{
@@ -82,19 +70,16 @@ func (s *Server) Restore(rj RestoredJob) error {
 		events:      newEventRing(s.opts.EventBuffer),
 		ctx:         jobCtx,
 		cancel:      jobCancel,
-		state:       state,
-		verdict:     rj.Verdict,
-		errmsg:      rj.Error,
+		state:       final.State,
+		verdict:     final.Verdict,
+		errmsg:      final.Error,
 		recovered:   true,
-		campaign:    rj.Campaign,
-		mutation:    rj.Mutation,
-		exploration: rj.Exploration,
-		vet:         rj.Vet,
-		shards:      rj.Shards,
-	}
-	job.submitted = rj.Submitted
-	if job.submitted.IsZero() {
-		job.submitted = s.now()
+		submitted:   s.now(),
+		campaign:    final.Campaign,
+		mutation:    final.Mutation,
+		exploration: final.Exploration,
+		vet:         final.Vet,
+		shards:      final.Shards,
 	}
 	job.log.preload(rj.Lines)
 	if rj.Spec.Trace {
@@ -129,14 +114,14 @@ func (s *Server) Restore(rj RestoredJob) error {
 		jobCancel()
 		return fmt.Errorf("serve: restore %s: job already present", rj.ID)
 	}
-	if rj.State == "" && len(s.queue) == cap(s.queue) {
+	if rj.Final == nil && len(s.queue) == cap(s.queue) {
 		jobCancel()
 		return fmt.Errorf("serve: restore %s: job queue full", rj.ID)
 	}
 	if n, ok := jobSeq(rj.ID); ok && n > s.seq {
 		s.seq = n
 	}
-	if rj.State != "" {
+	if rj.Final != nil {
 		job.log.close()
 		if job.trace != nil {
 			job.trace.close()
@@ -145,12 +130,12 @@ func (s *Server) Restore(rj RestoredJob) error {
 	}
 	s.jobs[job.id] = job
 	s.order = append(s.order, job.id)
-	if rj.State == "" {
+	if rj.Final == nil {
 		s.queue <- job
 	}
 	// The enqueue above may already have handed the job to a worker;
 	// log the restored state from the local, not the live field.
-	job.logger.Info("job restored", "kind", rj.Spec.Kind, "state", state,
+	job.logger.Info("job restored", "kind", rj.Spec.Kind, "state", final.State,
 		"lines", len(rj.Lines), "tenant", rj.Spec.Tenant)
 	return nil
 }
@@ -166,12 +151,4 @@ func jobSeq(id string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// Recovered reports whether the identified job was installed via
-// Restore (vs freshly submitted). Executors use it to decide whether
-// to consult their journal for resumption state.
-func (s *Server) Recovered(id string) bool {
-	job := s.job(id)
-	return job != nil && job.recovered
 }

@@ -16,7 +16,6 @@ import (
 	"repro/comptest/api"
 	"repro/comptest/explore"
 	"repro/comptest/mutation"
-	"repro/internal/ecu"
 	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -132,11 +131,6 @@ type Execution struct {
 	OnVet         func(VetStatus)
 	OnShards      func(ShardStatus)
 
-	// Observer, when non-nil, supplies a per-unit trace observer for
-	// campaign executions (the server's test hook, threaded through so
-	// a custom Executor's local fallback keeps the same seam).
-	Observer func(unit int) stand.Observer
-
 	// Trace, when non-nil, receives the campaign's structured span
 	// NDJSON (report.SpanWriter framing: one Write per span line). Set
 	// for jobs submitted with "trace": true; GET /v1/jobs/{id}/trace
@@ -210,10 +204,11 @@ type Server struct {
 	seq    int             // guarded by mu
 	closed bool            // guarded by mu
 
-	// observe, when non-nil, attaches a per-unit observer to campaign
-	// jobs. Test hook: lets tests synchronise with a running script
-	// (e.g. cancel after the first step) without timing races.
-	observe func(job *Job, unit int) stand.Observer
+	// observe, when non-nil, attaches a per-unit observer to the units
+	// of campaign job jobID. Test hook: lets tests synchronise with a
+	// running script (e.g. cancel after the first step) without timing
+	// races.
+	observe func(jobID string, unit int) stand.Observer
 }
 
 // New builds a Server and starts its worker pool.
@@ -354,12 +349,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%s", trimPrefix(err))
 		return
 	}
-	if _, err := comptest.FaultedFactory(spec.DUT, spec.Faults...); err != nil {
+	if err := comptest.CheckFaults(spec.DUT, spec.Faults...); err != nil {
 		writeError(w, http.StatusBadRequest, "%s", trimPrefix(err))
 		return
 	}
 	for _, f := range spec.Oracle {
-		if _, err := comptest.FaultedFactory(spec.DUT, f); err != nil {
+		if err := comptest.CheckFaults(spec.DUT, f); err != nil {
 			writeError(w, http.StatusBadRequest, "oracle: %s", trimPrefix(err))
 			return
 		}
@@ -683,9 +678,6 @@ func (s *Server) runJob(job *Job) {
 			job.mu.Unlock()
 		},
 	}
-	if s.observe != nil {
-		ex.Observer = func(unit int) stand.Observer { return s.observe(job, unit) }
-	}
 	// Assigned conditionally: a nil *resultLog in the io.Writer field
 	// would read as a non-nil interface.
 	if job.trace != nil {
@@ -746,57 +738,34 @@ func (s *Server) ExecuteLocal(ctx context.Context, ex Execution) (string, error)
 // runCampaign fans the cached scripts over one stand as a single
 // Campaign, streaming every report to the job log in unit order.
 func (s *Server) runCampaign(ctx context.Context, ex Execution) (string, error) {
-	factory, err := comptest.FaultedFactory(ex.Spec.DUT, ex.Spec.Faults...)
-	if err != nil {
+	if err := comptest.CheckFaults(ex.Spec.DUT, ex.Spec.Faults...); err != nil {
 		return "", err
 	}
 	scripts, err := ex.Art.Select(ex.Spec.Scripts)
 	if err != nil {
 		return "", err
 	}
-	units := comptest.Cross(scripts, []string{ex.Spec.Stand}, "")
+	units := comptest.Cross(scripts, []string{ex.Spec.Stand}, ex.Spec.DUT)
 	// The tracer rides the same per-unit Observer seam as the server's
 	// test hook; MultiObserver composes the two when both are present.
+	// Neither keeps a unit off the Runner's stand pool.
 	var tracer *comptest.Tracer
 	if ex.Trace != nil {
 		tracer = comptest.NewTracer(report.NewSpanWriter(ex.Trace))
 	}
-	// Per-unit wall latency is measured from DUT construction (the
-	// factory call, the first thing a unit's goroutine does) to the
-	// result reaching the sinks — without attaching a stand observer,
-	// whose solver-sampling cost the Trace flag documents. starts[i] is
-	// written and read on unit i's own goroutine.
-	starts := make([]time.Time, len(units))
 	for i := range units {
-		i := i
 		if ex.Art.Plan != nil {
 			units[i].Compiled = ex.Art.Plan.Compiled(units[i].Script)
 		}
-		units[i].Factory = func() ecu.ECU {
-			starts[i] = s.now()
-			return factory()
-		}
-		if ex.Observer != nil {
-			units[i].Observer = ex.Observer(i)
+		units[i].Faults = ex.Spec.Faults
+		if s.observe != nil {
+			units[i].Observer = s.observe(ex.ID, i)
 		}
 		if tracer != nil {
 			units[i].Observer = stand.MultiObserver(units[i].Observer, tracer.Observer(i))
 		}
 	}
-	watch := comptest.SinkFunc(func(res comptest.Result) {
-		if res.Seq >= 0 && res.Seq < len(starts) && !starts[res.Seq].IsZero() {
-			s.unitSeconds.Observe(s.now().Sub(starts[res.Seq]).Seconds())
-		}
-		if ex.Logger == nil {
-			return
-		}
-		switch {
-		case res.Err != nil:
-			ex.Logger.Warn("unit errored", "unit", res.Seq, "error", res.Err.Error())
-		case res.Report != nil && !res.Report.Passed():
-			ex.Logger.Warn("unit failed", "unit", res.Seq, "script", res.Report.Script)
-		}
-	})
+	watch := &unitWatch{s: s, logger: ex.Logger, starts: make([]time.Time, len(units))}
 	sink := comptest.NDJSON(ex.Log)
 	opts := []comptest.Option{
 		comptest.WithStand(ex.Spec.Stand),
@@ -826,6 +795,35 @@ func (s *Server) runCampaign(ctx context.Context, ex Execution) (string, error) 
 		return "green", nil
 	}
 	return "red", nil
+}
+
+// unitWatch is a campaign job's per-unit sink: it times every unit on
+// the server clock, from the Runner's start notice (before the unit's
+// stand is acquired) to its result, and logs failed and errored units.
+// The Runner serialises Start and Emit.
+type unitWatch struct {
+	s      *Server
+	logger *slog.Logger // nil for ExecuteLocal callers without one
+	starts []time.Time  // by unit Seq
+}
+
+// Start implements the Runner's unit-start notice.
+func (w *unitWatch) Start(seq int) { w.starts[seq] = w.s.now() }
+
+// Emit implements comptest.Sink.
+func (w *unitWatch) Emit(res comptest.Result) {
+	if !w.starts[res.Seq].IsZero() {
+		w.s.unitSeconds.Observe(w.s.now().Sub(w.starts[res.Seq]).Seconds())
+	}
+	if w.logger == nil {
+		return
+	}
+	switch {
+	case res.Err != nil:
+		w.logger.Warn("unit errored", "unit", res.Seq, "error", res.Err.Error())
+	case res.Report != nil && !res.Report.Passed():
+		w.logger.Warn("unit failed", "unit", res.Seq, "script", res.Report.Script)
+	}
 }
 
 // runMutate executes the kill matrix of the job's suite, streaming

@@ -302,8 +302,7 @@ func (o *cancelObserver) StepFinished(*script.Step, time.Duration, []stand.Outpu
 // deterministic — the DELETE lands exactly at the end of step 0.
 func TestCancelRunningJob(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1})
-	ts.s.observe = func(job *Job, unit int) stand.Observer {
-		id := job.id
+	ts.s.observe = func(id string, unit int) stand.Observer {
 		return &cancelObserver{f: func() {
 			if code := ts.cancel(t, id); code != http.StatusAccepted {
 				t.Errorf("cancel: status %d", code)
@@ -371,8 +370,8 @@ func (g *gate) observer() stand.Observer {
 func TestQueueBackpressureAndLiveStream(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	g := newGate()
-	ts.s.observe = func(job *Job, unit int) stand.Observer {
-		if job.id == "job-000001" {
+	ts.s.observe = func(id string, unit int) stand.Observer {
+		if id == "job-000001" {
 			return g.observer()
 		}
 		return nil
@@ -414,8 +413,8 @@ func TestQueueBackpressureAndLiveStream(t *testing.T) {
 func TestCancelQueuedJob(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 	g := newGate()
-	ts.s.observe = func(job *Job, unit int) stand.Observer {
-		if job.id == "job-000001" {
+	ts.s.observe = func(id string, unit int) stand.Observer {
+		if id == "job-000001" {
 			return g.observer()
 		}
 		return nil
@@ -552,7 +551,7 @@ func TestCloseCancelsRunningJobs(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	g := newGate()
-	s.observe = func(job *Job, unit int) stand.Observer { return g.observer() }
+	s.observe = func(id string, unit int) stand.Observer { return g.observer() }
 
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{}`))
 	if err != nil {

@@ -223,20 +223,22 @@ func TestBuiltinFaultsAreDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fault := range faults {
-			factory, err := comptest.FaultedFactory(dut, fault)
-			if err != nil {
+			if err := comptest.CheckFaults(dut, fault); err != nil {
 				t.Fatalf("%s/%s: %v", dut, fault, err)
 			}
 			collector := &comptest.Collector{}
 			r, err := comptest.NewRunner(
 				comptest.WithStand("full_lab"),
-				comptest.WithDUTFactory(factory),
 				comptest.WithSink(collector),
 			)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Campaign(context.Background(), comptest.Cross(scripts, []string{"full_lab"}, "")); err != nil {
+			units := comptest.Cross(scripts, []string{"full_lab"}, dut)
+			for i := range units {
+				units[i].Faults = []string{fault}
+			}
+			if _, err := r.Campaign(context.Background(), units); err != nil {
 				t.Fatal(err)
 			}
 			detected := false

@@ -13,6 +13,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"repro/comptest"
@@ -135,15 +136,27 @@ func TestFastForwardEquivalence(t *testing.T) {
 // four byte streams to be identical. This is what makes the pooled,
 // parallel production configuration trustworthy: neither reusing a
 // stand (AlignForReuse) nor completion order may leak into results.
+// Two more inputs ride the same four configurations: the matrix with a
+// Tracer on every unit, whose span NDJSON must match across them too
+// (and whose result stream must match the untraced one), and the
+// matrix with every unit injecting its DUT's first registered fault.
 func TestCampaignStreamEquivalence(t *testing.T) {
 	plans := compileBuiltin(t)
 	var units []comptest.Unit
 	for _, dut := range comptest.DUTNames() {
 		units = append(units, plans[dut].Units(comptest.StandNames(), dut)...)
 	}
-	run := func(par int, pooled bool) []byte {
+	faulted := slices.Clone(units)
+	for i := range faulted {
+		faults, err := comptest.DUTFaults(faulted[i].DUT)
+		if err != nil || len(faults) == 0 {
+			t.Fatalf("%s: faults %v, %v", faulted[i].DUT, faults, err)
+		}
+		faulted[i].Faults = []string{faults[0].Name}
+	}
+	run := func(units []comptest.Unit, par int, pooled, traced bool) (stream, spans []byte) {
 		t.Helper()
-		var buf bytes.Buffer
+		var buf, spanBuf bytes.Buffer
 		nd := comptest.NDJSON(&buf)
 		opts := []comptest.Option{
 			comptest.WithParallelism(par),
@@ -152,6 +165,14 @@ func TestCampaignStreamEquivalence(t *testing.T) {
 		if !pooled {
 			opts = append(opts, comptest.WithoutStandPool())
 		}
+		var tracer *comptest.Tracer
+		sw := report.NewSpanWriter(&spanBuf)
+		if traced {
+			units = slices.Clone(units)
+			tracer = comptest.NewTracer(sw)
+			tracer.Attach(units)
+			opts = append(opts, comptest.WithSink(tracer))
+		}
 		r, err := comptest.NewRunner(opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -159,26 +180,58 @@ func TestCampaignStreamEquivalence(t *testing.T) {
 		if _, err := r.Campaign(context.Background(), units); err != nil {
 			t.Fatal(err)
 		}
+		if tracer != nil {
+			tracer.Flush()
+		}
 		if err := nd.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		if err := sw.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), spanBuf.Bytes()
 	}
-	base := run(1, true)
-	if len(bytes.TrimSpace(base)) == 0 {
-		t.Fatal("campaign emitted no results")
-	}
-	for _, v := range []struct {
+	var clean []byte
+	for _, in := range []struct {
 		name   string
-		par    int
-		pooled bool
+		units  []comptest.Unit
+		traced bool
 	}{
-		{"parallel_1/unpooled", 1, false},
-		{"parallel_4/pooled", 4, true},
-		{"parallel_4/unpooled", 4, false},
+		{"clean", units, false},
+		{"traced", units, true},
+		{"faulted", faulted, false},
 	} {
-		if got := run(v.par, v.pooled); !bytes.Equal(base, got) {
-			t.Errorf("%s: NDJSON stream differs from parallel_1/pooled", v.name)
+		base, baseSpans := run(in.units, 1, true, in.traced)
+		if len(bytes.TrimSpace(base)) == 0 {
+			t.Fatalf("%s: campaign emitted no results", in.name)
+		}
+		if in.traced && len(bytes.TrimSpace(baseSpans)) == 0 {
+			t.Fatalf("%s: campaign emitted no spans", in.name)
+		}
+		switch in.name {
+		case "clean":
+			clean = base
+		case "traced":
+			if !bytes.Equal(clean, base) {
+				t.Errorf("traced: NDJSON stream differs from the untraced one")
+			}
+		}
+		for _, v := range []struct {
+			name   string
+			par    int
+			pooled bool
+		}{
+			{"parallel_1/unpooled", 1, false},
+			{"parallel_4/pooled", 4, true},
+			{"parallel_4/unpooled", 4, false},
+		} {
+			got, gotSpans := run(in.units, v.par, v.pooled, in.traced)
+			if !bytes.Equal(base, got) {
+				t.Errorf("%s/%s: NDJSON stream differs from parallel_1/pooled", in.name, v.name)
+			}
+			if !bytes.Equal(baseSpans, gotSpans) {
+				t.Errorf("%s/%s: span NDJSON differs from parallel_1/pooled", in.name, v.name)
+			}
 		}
 	}
 }

@@ -62,7 +62,7 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 	}
 	s.advanceTo(s.sched.Now()+s.cfg.SettleTime, true)
 	if s.obs != nil {
-		s.obs.OutputsSampled(s.sched.Now(), -1, s.observeOutputs(sc))
+		s.obs.OutputsSampled(s.runTime(), -1, s.observeOutputs(sc))
 	}
 
 	for i := range c.Steps {
@@ -263,8 +263,9 @@ const ReusePhase = 200 * time.Millisecond
 
 // AlignForReuse advances a stand that has already executed runs to the
 // next ReusePhase boundary, so the next run is byte-identical to the
-// same run on a freshly built stand. Stand pools call this between
-// runs; a fresh stand (t = 0) is already aligned.
+// same run on a freshly built stand — its report and, since observers
+// see run-relative time, its observer stream. Stand pools call this
+// between runs; a fresh stand (t = 0) is already aligned.
 func (s *Stand) AlignForReuse() {
 	now := s.sched.Now()
 	if rem := now % ReusePhase; rem != 0 {

@@ -79,9 +79,12 @@ type Stand struct {
 	ticker *ecu.Ticker
 
 	// obs, when non-nil, receives the behavioural trace (see trace.go);
-	// trace is its sampler while a step's dt elapses.
-	obs   Observer
-	trace *traceSampler
+	// trace is its sampler while a step's dt elapses. runStart is the
+	// scheduler time the current run started at: observers see times
+	// relative to it, so a reused stand reports what a fresh one would.
+	obs      Observer
+	trace    *traceSampler
+	runStart time.Duration
 
 	// held maps lower signal name → persistent stimulus state.
 	held map[string]*heldStimulus
@@ -359,7 +362,7 @@ func (s *Stand) RunContext(ctx context.Context, sc *script.Script) *report.Repor
 	}
 	s.advanceTo(s.sched.Now()+s.cfg.SettleTime, true)
 	if s.obs != nil {
-		s.obs.OutputsSampled(s.sched.Now(), -1, s.observeOutputs(sc))
+		s.obs.OutputsSampled(s.runTime(), -1, s.observeOutputs(sc))
 	}
 
 	for i, step := range sc.Steps {
@@ -391,8 +394,10 @@ func (s *Stand) skipRemaining(rep *report.Report, steps []*script.Step, cause er
 	}
 }
 
-// resetRun restores power-on state between script executions.
+// resetRun restores power-on state between script executions and
+// marks the run's start instant.
 func (s *Stand) resetRun() {
+	s.runStart = s.sched.Now()
 	for _, sw := range s.switches {
 		sw.SetClosed(false)
 	}
@@ -480,7 +485,7 @@ func (s *Stand) runStepPrepared(sc *script.Script, step *script.Step,
 		sam.stop()
 	}
 	if s.obs != nil {
-		s.obs.StepFinished(step, s.sched.Now(), s.observeOutputs(sc))
+		s.obs.StepFinished(step, s.runTime(), s.observeOutputs(sc))
 	}
 
 	if allocErr != nil {

@@ -49,6 +49,10 @@ type OutputState struct {
 // samples itself, with the outputs it observed once for the window. The
 // outputs slice passed to a callback may therefore be shared by
 // consecutive samples; observers treat it as read-only.
+//
+// Every now argument is simulated time since RunStarted, so a run on a
+// reused stand (AlignForReuse) reports exactly the times a run on a
+// freshly built stand reports.
 type Observer interface {
 	// RunStarted is called once per run, after validation and reset,
 	// before the init block is applied.
@@ -69,6 +73,10 @@ type Observer interface {
 // detaches it with nil. It must not be called while a script is
 // executing.
 func (s *Stand) SetObserver(o Observer) { s.obs = o }
+
+// runTime is the simulated time since the current run started: the
+// clock every Observer callback reports.
+func (s *Stand) runTime() time.Duration { return s.sched.Now() - s.runStart }
 
 // Ubatt returns the stand's supply voltage.
 func (s *Stand) Ubatt() float64 { return s.cfg.UbattVolts }
@@ -185,7 +193,7 @@ func (s *Stand) startTrace(sc *script.Script, step *script.Step) func() {
 	}
 	tr := &traceSampler{sc: sc, step: step.Nr}
 	tr.p = s.sched.Periodic(TracePeriod, func() {
-		s.obs.OutputsSampled(s.sched.Now(), tr.step, s.observeOutputs(tr.sc))
+		s.obs.OutputsSampled(s.runTime(), tr.step, s.observeOutputs(tr.sc))
 	})
 	s.trace = tr
 	return func() {
@@ -209,6 +217,6 @@ func (s *Stand) sampleSkipped(end time.Duration) {
 		if outs == nil {
 			outs = s.observeOutputs(tr.sc)
 		}
-		s.obs.OutputsSampled(at, tr.step, outs)
+		s.obs.OutputsSampled(at-s.runStart, tr.step, outs)
 	}
 }
