@@ -27,8 +27,8 @@ func WithStand(name string) Option {
 }
 
 // WithStandConfig supplies an explicit stand configuration, bypassing
-// the registry. The configuration is rebuilt per execution unit, so it
-// must be safe to reuse (the built stands own all mutable state).
+// the registry. Every stand the Runner builds is built from it, so it
+// must be safe to share (the built stands own all mutable state).
 func WithStandConfig(cfg stand.Config) Option {
 	return func(r *Runner) error {
 		if cfg.Catalog == nil || cfg.Matrix == nil {
@@ -42,7 +42,8 @@ func WithStandConfig(cfg stand.Config) Option {
 }
 
 // WithDUT selects a registered ECU model by name as the Runner's
-// default DUT. Each execution unit gets a fresh instance.
+// default DUT. Each stand the Runner builds gets its own instance,
+// reset before every run.
 func WithDUT(name string) Option {
 	return func(r *Runner) error {
 		if !dutRegistered(name) {
@@ -87,9 +88,9 @@ func WithParallelism(n int) Option {
 }
 
 // WithoutStandPool disables stand reuse across campaign units: every
-// unit gets a freshly built stand, as before the pool existed. The
-// pool never changes a report byte (the equivalence tests compare both
-// modes), so this is a debugging aid, not a correctness switch.
+// unit gets a freshly built stand. It is the fresh-stand reference the
+// equivalence tests compare the pooled Runner against; the pool never
+// changes a report byte, so this is not a correctness switch.
 func WithoutStandPool() Option {
 	return func(r *Runner) error {
 		r.noPool = true

@@ -2,7 +2,6 @@ package comptest
 
 import (
 	"strings"
-	"sync"
 
 	"repro/internal/script"
 	"repro/internal/stand"
@@ -52,30 +51,33 @@ func (r *Runner) standKey(u Unit) string {
 		strings.Join(h.Forward, ",") + "|" + strings.Join(h.Return, ",")
 }
 
-// takeStand pops a pooled stand for the key, re-aligned so its next
-// run is byte-identical to one on a fresh stand (see
-// stand.AlignForReuse), or returns nil. Aligning on take rather than
-// on release spares the stands that are never reused.
+// takeStand pops an idle stand for the key, re-aligned so its next run
+// is byte-identical to one on a fresh stand (see stand.AlignForReuse),
+// or returns nil. Aligning on take rather than on release spares the
+// stands that are never reused.
 func (r *Runner) takeStand(key string) *stand.Stand {
 	if key == "" {
 		return nil
 	}
 	r.poolMu.Lock()
-	p := r.pools[key]
-	r.poolMu.Unlock()
-	if p == nil {
+	idle := r.pools[key]
+	if len(idle) == 0 {
+		r.poolMu.Unlock()
 		return nil
 	}
-	st, _ := p.Get().(*stand.Stand)
-	if st != nil {
-		st.AlignForReuse()
-	}
+	st := idle[len(idle)-1]
+	idle[len(idle)-1] = nil
+	r.pools[key] = idle[:len(idle)-1]
+	r.poolMu.Unlock()
+	st.AlignForReuse()
 	return st
 }
 
-// releaseStand returns a stand to its pool after a run. A stand whose
-// DUT carries injected faults that cannot be cleared is dropped rather
-// than pooled.
+// releaseStand appends a stand to its key's idle list after a run. A
+// stand is only ever idle or held by one running unit, so a key never
+// holds more idle stands than the peak number of its units running at
+// once. A stand whose DUT carries injected faults that cannot be
+// cleared is dropped rather than pooled.
 func (r *Runner) releaseStand(key string, st *stand.Stand, faulted bool) {
 	if key == "" {
 		return
@@ -88,11 +90,6 @@ func (r *Runner) releaseStand(key string, st *stand.Stand, faulted bool) {
 		cf.ClearFaults()
 	}
 	r.poolMu.Lock()
-	p := r.pools[key]
-	if p == nil {
-		p = &sync.Pool{}
-		r.pools[key] = p
-	}
+	r.pools[key] = append(r.pools[key], st)
 	r.poolMu.Unlock()
-	p.Put(st)
 }

@@ -23,7 +23,11 @@ import (
 // output byte: scripts are compiled (validated and classified) once per
 // Runner and executed through stand.RunCompiled, and stands of
 // equivalent configuration are pooled across units instead of being
-// rebuilt per run (see WithoutStandPool).
+// rebuilt per run (see WithoutStandPool). The pool is a plain idle list
+// per configuration key: it lives exactly as long as the Runner, and a
+// key never holds more idle stands than the peak number of its units
+// running at once. A stand keeps nothing from the scripts it ran, so
+// the pool retains no script either.
 type Runner struct {
 	methods *method.Registry
 
@@ -40,7 +44,7 @@ type Runner struct {
 	compiled  map[*script.Script]*script.Compiled // nil value: compile failed
 
 	poolMu sync.Mutex
-	pools  map[string]*sync.Pool // reusable stands by configuration key
+	pools  map[string][]*stand.Stand // idle stands by configuration key
 
 	emitMu sync.Mutex // serialises sink emission across workers
 	sinks  []Sink
@@ -54,7 +58,7 @@ func NewRunner(opts ...Option) (*Runner, error) {
 		standName: "paper_stand",
 		parallel:  1,
 		compiled:  map[*script.Script]*script.Compiled{},
-		pools:     map[string]*sync.Pool{},
+		pools:     map[string][]*stand.Stand{},
 	}
 	for _, opt := range opts {
 		if err := opt(r); err != nil {

@@ -55,7 +55,7 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 	}
 
 	if len(sc.Init) > 0 {
-		if _, err := s.applyStep(sc, sc.Init, nil, nil, sc); err != nil {
+		if _, err := s.applyStep(sc, sc.Init, nil, nil); err != nil {
 			rep.FatalErr = fmt.Sprintf("init: %v", err)
 			return rep
 		}

@@ -89,16 +89,13 @@ type Stand struct {
 	// held maps lower signal name → persistent stimulus state.
 	held map[string]*heldStimulus
 
-	// Binding caches: attribute evaluation and expectation rendering are
-	// pure functions of the stand environment (ubatt never changes after
-	// New), so their results are memoised across steps, runs and scripts.
+	// attrVals/attrErrs memoise attribute evaluation (see evalAttr). The
+	// key is the attribute text, so the memo is bounded by the workbook
+	// vocabulary; a stand keeps nothing keyed by a script or statement,
+	// and a reused stand differs from a fresh one only by what resetRun
+	// and AlignForReuse restore.
 	attrVals map[string]float64
 	attrErrs map[string]error
-	expect   map[*script.SignalStmt]string
-
-	// routes memoises the per-step allocation + instrument routing (see
-	// routedStep), keyed by *script.Step (or *script.Script for init).
-	routes map[any]*routedStep
 
 	// ff enables the quiescence fast-forward (see advanceTo); tests
 	// disable it to compare against ground-truth tick-by-tick execution.
@@ -209,8 +206,6 @@ func New(cfg Config, reg *method.Registry) (*Stand, error) {
 		held:        map[string]*heldStimulus{},
 		attrVals:    map[string]float64{},
 		attrErrs:    map[string]error{},
-		expect:      map[*script.SignalStmt]string{},
-		routes:      map[any]*routedStep{},
 		ff:          true,
 	}
 	s.bus = canbus.NewBus(s.sched)
@@ -355,7 +350,7 @@ func (s *Stand) RunContext(ctx context.Context, sc *script.Script) *report.Repor
 
 	// Init block: apply all initial stimuli at once, then settle.
 	if len(sc.Init) > 0 {
-		if _, err := s.applyStep(sc, sc.Init, nil, nil, sc); err != nil {
+		if _, err := s.applyStep(sc, sc.Init, nil, nil); err != nil {
 			rep.FatalErr = fmt.Sprintf("init: %v", err)
 			return rep
 		}
@@ -468,7 +463,7 @@ func (s *Stand) runStepPrepared(sc *script.Script, step *script.Step,
 	res := report.StepResult{Nr: step.Nr, Dt: step.Dt, Remark: step.Remark,
 		Checks: make([]report.Check, 0, len(step.Signals))}
 
-	plan, allocErr := s.applyStep(sc, stimuli, measures, &res, step)
+	plan, allocErr := s.applyStep(sc, stimuli, measures, &res)
 
 	// Timing measurements sample during the step.
 	var samplers map[*script.SignalStmt]*sampler
@@ -507,74 +502,12 @@ func (s *Stand) runStepPrepared(sc *script.Script, step *script.Step,
 	return res
 }
 
-// routedStep is the memoised outcome of one successful applyStep: the
-// allocation plan plus everything needed to re-program the instruments
-// without consulting the allocator again. Valid because a run always
-// starts from resetRun and executes its steps in order, so the held
-// state — and with it the allocator's input — at any given step is
-// identical on every run of the same script on the same stand.
-type routedStep struct {
-	plan  *alloc.Plan
-	want  map[string]bool // switch closures
-	inUse map[string]bool // lower resource ids in use (PWM keep-alive)
-	asg   []routedAsg
-}
-
-type routedAsg struct {
-	a        *alloc.Assignment
-	st       *script.SignalStmt
-	decl     *script.SignalDecl
-	key      string // lower signal name
-	stimulus bool
-	applied  string // cached report Applied line, "" = none
-}
-
-// replayStep re-executes a cached routing: switches, instrument
-// programming and held-state updates, identical to the uncached path.
-func (s *Stand) replayStep(rs *routedStep, res *report.StepResult) (*alloc.Plan, error) {
-	for name, sw := range s.switches {
-		sw.SetClosed(rs.want[name])
-	}
-	for id, inst := range s.instruments {
-		if inst.pwm != nil && inst.pwm.running && !rs.inUse[id] {
-			inst.pwm.Stop()
-		}
-	}
-	for i := range rs.asg {
-		ra := &rs.asg[i]
-		via, err := s.programState(ra.a, ra.st, ra.decl)
-		if err != nil {
-			return nil, err
-		}
-		if via != "" && res != nil {
-			if ra.applied == "" {
-				ra.applied = appliedLine(ra.st, via)
-			}
-			res.Applied = append(res.Applied, ra.applied)
-		}
-		if ra.stimulus {
-			s.held[ra.key] = &heldStimulus{stmt: ra.st, decl: ra.decl, res: resID(ra.a.Resource)}
-		}
-	}
-	return rs.plan, nil
-}
-
 // applyStep allocates the step's complete demand — the held persistent
 // stimuli, the step's new stimuli and the step's measurements — and
 // programs the instruments. Preferences keep unchanged signals on their
 // previous resources. Measurement assignments are transient; stimulus
 // assignments update the held state.
-//
-// ckey, when non-nil, identifies the step (its *script.Step, or the
-// *script.Script for the init block) for the routed-step cache: the
-// first execution allocates and memoises, repeats replay. Failed
-// applications are never cached.
-func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalStmt, res *report.StepResult, ckey any) (*alloc.Plan, error) {
-	if ckey != nil {
-		if rs, ok := s.routes[ckey]; ok {
-			return s.replayStep(rs, res)
-		}
-	}
+func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalStmt, res *report.StepResult) (*alloc.Plan, error) {
 	// Merge: new stimuli override held ones per signal.
 	merged := map[string]*script.SignalStmt{}
 	order := []string{}
@@ -652,8 +585,6 @@ func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalS
 	}
 
 	// Program the instruments; stimuli update the held state.
-	rs := &routedStep{plan: plan, want: want, inUse: inUse,
-		asg: make([]routedAsg, 0, len(plan.Assignments))}
 	for i := range plan.Assignments {
 		a := &plan.Assignments[i]
 		key := strings.ToLower(a.Request.Signal)
@@ -663,25 +594,13 @@ func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalS
 		if err != nil {
 			return nil, err
 		}
-		ra := routedAsg{a: a, st: st, decl: decl, key: key, stimulus: stimulusKeys[key]}
-		if via != "" {
-			ra.applied = appliedLine(st, via)
-			if res != nil {
-				res.Applied = append(res.Applied, ra.applied)
-			}
+		if via != "" && res != nil {
+			res.Applied = append(res.Applied, fmt.Sprintf("%s %s(%s) via %s",
+				st.Name, st.Call.Method, attrString(st.Call.Attrs), via))
 		}
-		if ra.stimulus {
+		if stimulusKeys[key] {
 			s.held[key] = &heldStimulus{stmt: st, decl: decl, res: resID(a.Resource)}
 		}
-		rs.asg = append(rs.asg, ra)
-	}
-	if ckey != nil {
-		// Pointer-keyed, so a stand fed generated scripts forever
-		// (explore) would grow the cache without bound — flush instead.
-		if len(s.routes) >= 1<<12 {
-			clear(s.routes)
-		}
-		s.routes[ckey] = rs
 	}
 	return plan, nil
 }
@@ -696,8 +615,6 @@ func resID(r *resource.Resource) string {
 // programState sets one instrument according to an assignment. It
 // returns the "via" label the report's Applied line should carry, or ""
 // when the assignment produces no line (measurements, silent releases).
-// The rendering itself lives in appliedLine so the routed-step replay
-// can reuse a cached line instead of re-formatting it.
 func (s *Stand) programState(a *alloc.Assignment, st *script.SignalStmt, decl *script.SignalDecl) (string, error) {
 	if a.Resource == nil {
 		if a.Disconnect() {
@@ -766,12 +683,6 @@ func (s *Stand) programState(a *alloc.Assignment, st *script.SignalStmt, decl *s
 	return a.Resource.ID, nil
 }
 
-// appliedLine renders one report Applied line.
-func appliedLine(st *script.SignalStmt, via string) string {
-	return fmt.Sprintf("%s %s(%s) via %s",
-		st.Name, st.Call.Method, attrString(st.Call.Attrs), via)
-}
-
 // declPins extracts the electrical pins of a declaration.
 func declPins(d *script.SignalDecl) []string {
 	cls, err := parseClass(d.Class)
@@ -832,24 +743,8 @@ func (s *Stand) evalAttrUncached(v string) (float64, error) {
 	return e.Eval(s.env)
 }
 
-// expectation renders the expected value of a statement for reports,
-// memoised per statement: scripts are immutable once parsed, so the
-// rendering is a pure function of the statement pointer.
+// expectation renders the expected value of a statement for reports.
 func (s *Stand) expectation(st *script.SignalStmt) string {
-	if e, ok := s.expect[st]; ok {
-		return e
-	}
-	// The key is a pointer, so a stand fed generated scripts forever
-	// (explore) would grow the cache without bound — flush it instead.
-	if len(s.expect) >= 1<<13 {
-		clear(s.expect)
-	}
-	e := s.expectationUncached(st)
-	s.expect[st] = e
-	return e
-}
-
-func (s *Stand) expectationUncached(st *script.SignalStmt) string {
 	d, ok := s.reg.Lookup(st.Call.Method)
 	if !ok {
 		return attrString(st.Call.Attrs)
